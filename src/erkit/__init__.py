@@ -65,7 +65,6 @@ from .errors import (
     WeightSumError,
 )
 from .hierarchy import (
-    ALGORITHMS,
     AttributeNode,
     Diagnostic,
     EvaluationModel,
@@ -84,7 +83,6 @@ from .modelio import (
 
 __all__ = [
     "AGGREGATORS",
-    "ALGORITHMS",
     "AXIOMS",
     "AggregationTrace",
     "Assessment",

@@ -1,24 +1,27 @@
 """Flat evidential-reasoning aggregation over weighted assessments.
 
-Three aggregation schemes are provided, differing in how the per-attribute
-factor is absorbed before combination:
+All three schemes share one kernel.  It discounts each assessment by a
+reliability α and an importance β, folds the results by the extended
+orthogonal sum, and folds the Omega (indecisiveness) mass back at the end.
+The schemes differ only in the (α, β) they pass:
 
 ``oer_aggregate``
-    Treats each weight as a *reliability*: masses are Shafer-discounted and
-    the surplus joins the global-ignorance mass before the orthogonal sum.
+    (weight, 1): weights are *reliabilities*; the discounted surplus joins
+    the global-ignorance mass and Omega stays empty.
 
 ``mer_aggregate``
-    Treats each (normalized) weight as an *importance*: the unassigned mass
-    is split into an incompleteness part and a weight part, the weight part
-    being redistributed proportionally after combination.
+    (1, weight): normalized weights are *importances*; the weight part of
+    the unassigned mass is redistributed proportionally after combination.
 
 ``e2r_aggregate``
-    Handles a reliability and an importance factor per attribute at once
-    and reduces to the other two in the obvious limits.
+    (reliability, importance): both factors at once; reduces to the other
+    two, bit for bit, in the obvious limits.
 
-Each aggregator implements its recursion directly in closed form; the
-equivalent discount-and-combine pipelines built from :mod:`erkit.dst` are
-kept as independent oracles in the test suite.
+An item's frame mass is β·max(0, 1 − Σα·d).  For ``e2r`` this differs from
+the closed form β·(α·u + 1 − α) by rounding only: at most about 1e-15 on
+ordinary inputs, more where near-total conflict amplifies it.  The
+discount-and-combine pipelines of :mod:`erkit.dst` stay apart from the
+kernel as independent oracles in the test suite.
 """
 
 from __future__ import annotations
@@ -163,26 +166,45 @@ def _common_frame(items: Sequence[WeightedAssessment]) -> GradeFrame:
     return frame
 
 
-def _fold(parts, trace_steps):
-    """Shared recursion: orthogonal sum over (singletons, frame, omega) triples."""
-    sing, mh, mo = parts[0]
-    trace_steps.append(TraceStep(tuple(sing), mh, mo, 1.0))
-    for sing2, mh2, mo2 in parts[1:]:
-        denom = 1.0 - _singleton_conflict(sing, sing2)
-        if denom <= CONFLICT_TOL:
-            raise CompleteConflictError("aggregation met totally conflicting assessments")
-        k = 1.0 / denom
-        vague1 = mh + mo
-        vague2 = mh2 + mo2
-        sing = [
-            k * (a * b + a * vague2 + vague1 * b) for a, b in zip(sing, sing2)
-        ]
-        mh, mo = (
-            k * (mh * mh2 + mh * mo2 + mo * mh2),
-            k * mo * mo2,
-        )
-        trace_steps.append(TraceStep(tuple(sing), mh, mo, k))
-    return sing, mh, mo
+def _aggregate(frame, items, factors, with_trace):
+    """The aggregation kernel: discount, fold, fold Omega back.
+
+    ``factors`` holds one (reliability α, importance β) pair per item; the
+    masses are β·α·d on the grades, β·max(0, 1 − Σα·d) on the frame and
+    1 − β on Omega.
+    """
+    steps: list[TraceStep] = []
+    sing = None
+    for item, (alpha, beta) in zip(items, factors):
+        discounted = [alpha * d for d in item.assessment.degrees]
+        sing2 = [beta * x for x in discounted]
+        mh2 = beta * max(0.0, 1.0 - math.fsum(discounted))
+        mo2 = 1.0 - beta
+        if sing is None:
+            sing, mh, mo, k = sing2, mh2, mo2, 1.0
+        else:
+            denom = 1.0 - _singleton_conflict(sing, sing2)
+            if denom <= CONFLICT_TOL:
+                raise CompleteConflictError("aggregation met totally conflicting assessments")
+            k = 1.0 / denom
+            vague1 = mh + mo
+            vague2 = mh2 + mo2
+            sing = [
+                k * (a * b + a * vague2 + vague1 * b) for a, b in zip(sing, sing2)
+            ]
+            mh, mo = (
+                k * (mh * mh2 + mh * mo2 + mo * mh2),
+                k * mo * mo2,
+            )
+        if with_trace:
+            steps.append(TraceStep(tuple(sing), mh, mo, k))
+    if mo >= 1.0 - CONFLICT_TOL:
+        raise DegenerateMassError("all combined mass sits on Omega; nothing to normalize")
+    scale = 1.0 / (1.0 - mo)
+    result = CombinedAssessment(frame, tuple(scale * v for v in sing), scale * mh)
+    if with_trace:
+        return result, AggregationTrace(tuple(steps))
+    return result
 
 
 def oer_aggregate(
@@ -194,17 +216,7 @@ def oer_aggregate(
     mass remains on the frame is reported as unassigned.
     """
     frame = _common_frame(items)
-    parts = []
-    for item in items:
-        w = item.weight
-        sing = [w * d for d in item.assessment.degrees]
-        parts.append((sing, max(0.0, 1.0 - math.fsum(sing)), 0.0))
-    steps: list[TraceStep] = []
-    sing, mh, _ = _fold(parts, steps)
-    result = CombinedAssessment(frame, tuple(sing), mh)
-    if with_trace:
-        return result, AggregationTrace(tuple(steps))
-    return result
+    return _aggregate(frame, items, [(item.weight, 1.0) for item in items], with_trace)
 
 
 def mer_aggregate(
@@ -222,18 +234,7 @@ def mer_aggregate(
     total_weight = math.fsum(item.weight for item in items)
     if abs(total_weight - 1.0) > WEIGHT_SUM_TOL:
         raise WeightSumError(f"importance weights sum to {total_weight!r}, expected 1")
-    parts = []
-    for item in items:
-        w = item.weight
-        sing = [w * d for d in item.assessment.degrees]
-        parts.append((sing, w * item.assessment.unassigned, 1.0 - w))
-    steps: list[TraceStep] = []
-    sing, mh, mo = _fold(parts, steps)
-    scale = 1.0 / (1.0 - mo)
-    result = CombinedAssessment(frame, tuple(scale * v for v in sing), scale * mh)
-    if with_trace:
-        return result, AggregationTrace(tuple(steps))
-    return result
+    return _aggregate(frame, items, [(1.0, item.weight) for item in items], with_trace)
 
 
 def e2r_aggregate(
@@ -248,23 +249,8 @@ def e2r_aggregate(
     normalized importances it equals ``mer_aggregate`` on the importances.
     """
     frame = _common_frame(items)
-    if all(item.importance == 0.0 for item in items):
-        raise DegenerateMassError("all importances are zero; the result would be pure Omega")
-    parts = []
-    for item in items:
-        alpha, beta = item.reliability, item.importance
-        sing = [beta * (alpha * d) for d in item.assessment.degrees]
-        mh = beta * (alpha * item.assessment.unassigned + (1.0 - alpha))
-        parts.append((sing, mh, 1.0 - beta))
-    steps: list[TraceStep] = []
-    sing, mh, mo = _fold(parts, steps)
-    if mo >= 1.0 - CONFLICT_TOL:
-        raise DegenerateMassError("all combined mass sits on Omega; nothing to normalize")
-    scale = 1.0 / (1.0 - mo)
-    result = CombinedAssessment(frame, tuple(scale * v for v in sing), scale * mh)
-    if with_trace:
-        return result, AggregationTrace(tuple(steps))
-    return result
+    factors = [(item.reliability, item.importance) for item in items]
+    return _aggregate(frame, items, factors, with_trace)
 
 
 AGGREGATORS = {

@@ -19,6 +19,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
+from .algorithms import AGGREGATORS
 from .axioms import audit_axioms
 from .decision import decide
 from .errors import (
@@ -29,7 +30,7 @@ from .errors import (
     ModelValidationError,
     WeightSumError,
 )
-from .hierarchy import ALGORITHMS, derive_reliabilities, evaluate
+from .hierarchy import derive_reliabilities, evaluate
 from .modelio import (
     ResultDocument,
     result_from_evaluation,
@@ -76,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("evaluate", help="evaluate a model file")
     p_eval.add_argument("model", type=Path, help="model document (JSON)")
     p_eval.add_argument(
-        "--algo", choices=(*ALGORITHMS, "all"), default="e2r", help="aggregation algorithm"
+        "--algo", choices=(*AGGREGATORS, "all"), default="e2r", help="aggregation algorithm"
     )
     p_eval.add_argument("--trace", action="store_true", help="include per-step masses")
     p_eval.add_argument("--strict", action="store_true", help="reject unknown document fields")
@@ -90,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.set_defaults(func=cmd_compare)
 
     p_ax = sub.add_parser("check-axioms", help="audit the synthesis axioms")
-    p_ax.add_argument("--algo", choices=ALGORITHMS, default="e2r", help="algorithm to audit")
+    p_ax.add_argument("--algo", choices=tuple(AGGREGATORS), default="e2r", help="algorithm to audit")
     p_ax.add_argument(
         "--iterations", type=_positive_int, default=1000, help="instances per axiom"
     )
@@ -137,7 +138,7 @@ def _run_algorithm(model, algorithm: str, with_trace: bool) -> ResultDocument:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     model = derive_reliabilities(load_model(args.model, strict=args.strict))
-    algorithms = ALGORITHMS if args.algo == "all" else (args.algo,)
+    algorithms = tuple(AGGREGATORS) if args.algo == "all" else (args.algo,)
     documents = [_run_algorithm(model, algo, args.trace) for algo in algorithms]
     _emit(save_results(documents, format=args.format), args.out)
     return EXIT_OK
@@ -200,7 +201,7 @@ def _render_compare_table(report: dict) -> str:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     model = derive_reliabilities(load_model(args.model, strict=args.strict))
-    documents = [_run_algorithm(model, algo, with_trace=False) for algo in ALGORITHMS]
+    documents = [_run_algorithm(model, algo, with_trace=False) for algo in AGGREGATORS]
     if args.format == "csv":
         _emit(save_results(documents, format="csv"), args.out)
         return EXIT_OK

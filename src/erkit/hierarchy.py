@@ -27,8 +27,6 @@ from .decision import UtilityFunction
 from .dst import GradeFrame
 from .errors import ErkitError
 
-ALGORITHMS = ("oer", "mer", "e2r")
-
 
 @dataclass(frozen=True)
 class AttributeNode:
@@ -178,14 +176,23 @@ def validate(model: EvaluationModel) -> list[Diagnostic]:
     return problems
 
 
-def _single_factor_weight(node: AttributeNode, algorithm: str, path: str) -> float:
-    """Weight a node contributes to its parent under a single-factor scheme."""
-    fallback = node.reliability if algorithm == "oer" else node.importance
-    weight = node.weight if node.weight is not None else fallback
-    if weight is None:
+def _factors(node: AttributeNode, algorithm: str, path: str) -> dict[str, float]:
+    """Factors a node brings into its parent's combination, by keyword.
+
+    ``e2r`` reads the reliability and the importance; the single-factor
+    schemes read ``weight``, falling back to the reliability (``oer``) or
+    the importance (``mer``).
+    """
+    if algorithm == "e2r":
+        factors = {"reliability": node.reliability, "importance": node.importance}
+    else:
         kind = "reliability" if algorithm == "oer" else "importance"
-        raise ErkitError(f"node {path!r} has neither weight nor {kind}")
-    return weight
+        factors = {"weight": node.weight if node.weight is not None else getattr(node, kind)}
+    for name, value in factors.items():
+        if value is None:
+            lacks = f"neither weight nor {kind}" if name == "weight" else f"no {name}"
+            raise ErkitError(f"node {path!r} has {lacks}")
+    return factors
 
 
 def evaluate(
@@ -201,8 +208,8 @@ def evaluate(
     are re-raised with the offending node path so a deep tree does not hide
     which combination went wrong.
     """
-    if algorithm not in ALGORITHMS:
-        raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
+    if algorithm not in AGGREGATORS:
+        raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {tuple(AGGREGATORS)}")
     if alternative not in model.alternatives:
         raise ValueError(f"unknown alternative {alternative!r}")
     aggregate = AGGREGATORS[algorithm]
@@ -223,25 +230,10 @@ def evaluate(
         else:
             items = []
             for child in node.children:
-                child_result = visit(child, f"{path}/{child.name}")
                 child_path = f"{path}/{child.name}"
-                if algorithm == "e2r":
-                    if child.reliability is None:
-                        raise ErkitError(f"node {child_path!r} has no reliability")
-                    if child.importance is None:
-                        raise ErkitError(f"node {child_path!r} has no importance")
-                    items.append(
-                        WeightedAssessment(
-                            child_result.to_assessment(),
-                            reliability=child.reliability,
-                            importance=child.importance,
-                        )
-                    )
-                else:
-                    weight = _single_factor_weight(child, algorithm, child_path)
-                    items.append(
-                        WeightedAssessment(child_result.to_assessment(), weight=weight)
-                    )
+                child_result = visit(child, child_path)
+                factors = _factors(child, algorithm, child_path)
+                items.append(WeightedAssessment(child_result.to_assessment(), **factors))
             try:
                 if with_trace:
                     combined, traces[path] = aggregate(items, with_trace=True)

@@ -47,13 +47,18 @@ def _require(mapping: Mapping, key: str, where: str):
     return mapping[key]
 
 
+def _number(value, what: str, where: str) -> float:
+    """A JSON number as a float; booleans and numeric strings are rejected."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ModelFormatError(f"{where}: {what} must be a number, got {value!r}")
+    return float(value)
+
+
 def _parse_factor(raw: Mapping, key: str, where: str) -> float | None:
     value = raw.get(key)
     if value is None:
         return None
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ModelFormatError(f"{where}: {key} must be a number, got {value!r}")
-    return float(value)
+    return _number(value, key, where)
 
 
 def _parse_node(raw: Mapping, frame: GradeFrame, where: str, strict: bool) -> AttributeNode:
@@ -66,6 +71,10 @@ def _parse_node(raw: Mapping, frame: GradeFrame, where: str, strict: bool) -> At
     here = f"{where}/{name}"
     children_raw = raw.get("children", [])
     assessments_raw = raw.get("assessments", {})
+    if not isinstance(children_raw, list):
+        raise ModelFormatError(f"{here}: children must be a list")
+    if not isinstance(assessments_raw, Mapping):
+        raise ModelFormatError(f"{here}: assessments must be an object")
     if children_raw and assessments_raw:
         raise ModelFormatError(f"{here}: a node cannot have both children and assessments")
     children = tuple(_parse_node(c, frame, here, strict) for c in children_raw)
@@ -73,10 +82,10 @@ def _parse_node(raw: Mapping, frame: GradeFrame, where: str, strict: bool) -> At
     for alt, degrees in assessments_raw.items():
         if not isinstance(degrees, Mapping):
             raise ModelFormatError(f"{here}: assessment for {alt!r} must be an object")
+        where_alt = f"{here}: assessment for {alt!r}"
+        parsed = {g: _number(d, "belief degree", where_alt) for g, d in degrees.items()}
         try:
-            assessments[alt] = Assessment.from_degrees(
-                frame, {g: float(d) for g, d in degrees.items()}
-            )
+            assessments[alt] = Assessment.from_degrees(frame, parsed)
         except Exception as exc:
             raise ModelFormatError(f"{here}: bad assessment for {alt!r}: {exc}") from exc
     return AttributeNode(
@@ -137,6 +146,8 @@ def load_model(
         raise ModelFormatError(f"{where}: unsupported schema {schema!r}")
 
     frame_raw = _require(doc, "frame", where)
+    if not isinstance(frame_raw, list):
+        raise ModelFormatError(f"{where}: frame must be a list of grades")
     try:
         frame = GradeFrame(str(g) for g in frame_raw)
     except ValueError as exc:
@@ -150,9 +161,11 @@ def load_model(
     if utilities_raw is None:
         utility = UtilityFunction.evenly_spaced(frame)
     else:
+        if not isinstance(utilities_raw, Mapping):
+            raise ModelFormatError(f"{where}: utilities must be an object")
         try:
             utility = UtilityFunction.from_mapping(
-                frame, {g: float(u) for g, u in utilities_raw.items()}
+                frame, {g: _number(u, f"utility of {g!r}", where) for g, u in utilities_raw.items()}
             )
         except ValueError as exc:
             raise ModelFormatError(f"{where}: bad utilities: {exc}") from exc

@@ -79,6 +79,12 @@ def combined_close(a: CombinedAssessment, b: CombinedAssessment, tol=1e-10):
     assert a.unassigned == pytest.approx(b.unassigned, abs=tol)
 
 
+def combined_equal(a: CombinedAssessment, b: CombinedAssessment):
+    """Bit-identical degrees: both results came out of the same float operations."""
+    assert a.assigned == b.assigned, (a, b)
+    assert a.unassigned == b.unassigned, (a, b)
+
+
 # ---------------------------------------------------------------------------
 # assessments and conversion
 # ---------------------------------------------------------------------------
@@ -140,16 +146,6 @@ class TestOerAggregate:
         a = WeightedAssessment(Assessment.from_degrees(H5, {"g0": 1.0}), weight=1.0)
         b = WeightedAssessment(Assessment.from_degrees(H5, {"g4": 1.0}), weight=1.0)
         with pytest.raises(CompleteConflictError):
-            oer_aggregate([a, b])
-
-    def test_empty_input_raises(self):
-        with pytest.raises(ValueError):
-            oer_aggregate([])
-
-    def test_frame_mismatch_raises(self):
-        a = WeightedAssessment(random_assessment(np.random.default_rng(0), H5))
-        b = WeightedAssessment(random_assessment(np.random.default_rng(0), frame_of(3)))
-        with pytest.raises(FrameMismatchError):
             oer_aggregate([a, b])
 
     def test_matches_reliability_pipeline(self):
@@ -218,7 +214,7 @@ class TestE2rAggregate:
             as_oer = [
                 WeightedAssessment(i.assessment, weight=i.reliability) for i in items
             ]
-            combined_close(e2r_aggregate(as_e2r), oer_aggregate(as_oer), 1e-10)
+            combined_equal(e2r_aggregate(as_e2r), oer_aggregate(as_oer))
 
     def test_full_reliability_reduces_to_importance_scheme(self):
         rng = np.random.default_rng(404)
@@ -228,7 +224,7 @@ class TestE2rAggregate:
                 WeightedAssessment(i.assessment, reliability=1.0, importance=i.weight)
                 for i in items
             ]
-            combined_close(e2r_aggregate(as_e2r), mer_aggregate(items), 1e-10)
+            combined_equal(e2r_aggregate(as_e2r), mer_aggregate(items))
 
     def test_matches_two_factor_pipeline_on_brakes_subtree(self):
         # three basic attributes with (reliability, importance) as annotated
@@ -258,6 +254,25 @@ class TestE2rAggregate:
 # ---------------------------------------------------------------------------
 # shared behavior
 # ---------------------------------------------------------------------------
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("algorithm", ["oer", "mer", "e2r"])
+    def test_empty_input_raises(self, algorithm):
+        from erkit import AGGREGATORS
+
+        with pytest.raises(ValueError):
+            AGGREGATORS[algorithm]([])
+
+    @pytest.mark.parametrize("algorithm", ["oer", "mer", "e2r"])
+    def test_frame_mismatch_raises(self, algorithm):
+        from erkit import AGGREGATORS
+
+        # the two default weights sum to 2: for mer the frame check must come first
+        a = WeightedAssessment(random_assessment(np.random.default_rng(0), H5))
+        b = WeightedAssessment(random_assessment(np.random.default_rng(0), frame_of(3)))
+        with pytest.raises(FrameMismatchError):
+            AGGREGATORS[algorithm]([a, b])
 
 
 class TestDispatch:

@@ -178,3 +178,50 @@ class TestCompare:
         code, out, _ = run(capsys, "compare", "--format", "csv", model_file)
         assert code == EXIT_OK
         assert out.splitlines()[0] == "algorithm,alternative,grade,degree"
+
+
+def _toy_document():
+    return {
+        "schema": "er-model/1",
+        "frame": ["l", "h"],
+        "utilities": {"l": 0.0, "h": 1.0},
+        "alternatives": ["a"],
+        "tree": {
+            "name": "root",
+            "children": [
+                {"name": "only", "reliability": 1.0, "importance": 1.0,
+                 "assessments": {"a": {"h": 0.6}}},
+            ],
+        },
+    }
+
+
+class TestMalformedModels:
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            pytest.param(lambda d: d.update(utilities=[0.0, 1.0]), id="utilities-list"),
+            pytest.param(
+                lambda d: d["tree"]["children"][0].update(assessments=[{"h": 0.6}]),
+                id="assessments-list",
+            ),
+            pytest.param(lambda d: d["tree"].update(children=5), id="children-number"),
+            # one-letter grades, so a string frame would split into the same grades
+            pytest.param(lambda d: d.update(frame="lh"), id="frame-string"),
+            pytest.param(
+                lambda d: d["tree"]["children"][0]["assessments"]["a"].update(h=True),
+                id="boolean-degree",
+            ),
+        ],
+    )
+    def test_schema_type_error_is_validation_failure(self, capsys, tmp_path, mutate):
+        doc = _toy_document()
+        path = tmp_path / "good.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert run(capsys, "evaluate", str(path))[0] == EXIT_OK
+        mutate(doc)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, _, err = run(capsys, "evaluate", str(path))
+        assert code == EXIT_VALIDATION
+        assert err.startswith("error:")
