@@ -17,6 +17,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import Iterable
 
 from . import __version__
 from .algorithms import AGGREGATORS
@@ -30,7 +31,13 @@ from .errors import (
     ModelValidationError,
     WeightSumError,
 )
-from .hierarchy import derive_reliabilities, evaluate
+from .hierarchy import (
+    CompiledModel,
+    EvaluationModel,
+    derive_reliabilities,
+    evaluate,
+    evaluate_batch,
+)
 from .modelio import (
     ResultDocument,
     result_from_evaluation,
@@ -110,36 +117,46 @@ def _emit(text: str, out: Path | None) -> None:
         out.write_text(text, encoding="utf-8")
 
 
-def _run_algorithm(model, algorithm: str, with_trace: bool) -> ResultDocument:
-    per_alternative = {}
-    traces = {} if with_trace else None
-    for alt in model.alternatives:
+def _run_algorithms(
+    model: EvaluationModel, algorithms: Iterable[str], with_trace: bool
+) -> list[ResultDocument]:
+    """One result document per algorithm; the model is compiled once for all of them."""
+    plan = CompiledModel(model)
+    documents = []
+    for algorithm in algorithms:
         if with_trace:
-            results, alt_traces = evaluate(model, algorithm, alt, with_trace=True)
-            traces[alt] = {
-                path: trace_to_json(trace, model.frame)
-                for path, trace in alt_traces.items()
-            }
+            per_alternative, traces = {}, {}
+            for alt in model.alternatives:
+                per_alternative[alt], alt_traces = evaluate(plan, algorithm, alt, with_trace=True)
+                traces[alt] = {
+                    path: trace_to_json(trace, model.frame)
+                    for path, trace in alt_traces.items()
+                }
+            roots = {alt: results[model.root.name] for alt, results in per_alternative.items()}
         else:
-            results = evaluate(model, algorithm, alt)
-        per_alternative[alt] = results
-    root = model.root.name
-    ranked = decide({a: r[root] for a, r in per_alternative.items()}, model.utility)
-    return result_from_evaluation(
-        algorithm,
-        model,
-        per_alternative,
-        ranked.utilities,
-        ranked.degrees,
-        ranked.ranking,
-        traces,
-    )
+            per_alternative, traces = evaluate_batch(plan, algorithm), None
+            roots = per_alternative.roots()
+        ranked = decide(roots, model.utility)
+        documents.append(
+            result_from_evaluation(
+                algorithm,
+                model,
+                per_alternative,
+                ranked.utilities,
+                ranked.degrees,
+                ranked.ranking,
+                traces,
+            )
+        )
+    return documents
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    model = derive_reliabilities(load_model(args.model, strict=args.strict))
     algorithms = tuple(AGGREGATORS) if args.algo == "all" else (args.algo,)
-    documents = [_run_algorithm(model, algo, args.trace) for algo in algorithms]
+    # The model is bound to no name here, so it is freed before the report is encoded.
+    documents = _run_algorithms(
+        derive_reliabilities(load_model(args.model, strict=args.strict)), algorithms, args.trace
+    )
     _emit(save_results(documents, format=args.format), args.out)
     return EXIT_OK
 
@@ -201,13 +218,13 @@ def _render_compare_table(report: dict) -> str:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     model = derive_reliabilities(load_model(args.model, strict=args.strict))
-    documents = [_run_algorithm(model, algo, with_trace=False) for algo in AGGREGATORS]
+    documents = _run_algorithms(model, AGGREGATORS, with_trace=False)
     if args.format == "csv":
         _emit(save_results(documents, format="csv"), args.out)
         return EXIT_OK
     report = _compare_report(documents)
     if args.format == "json":
-        _emit(json.dumps(report, indent=2), args.out)
+        _emit(json.dumps(report, indent=2, allow_nan=False), args.out)
     else:
         _emit(_render_compare_table(report), args.out)
     return EXIT_OK
@@ -249,7 +266,7 @@ def cmd_check_axioms(args: argparse.Namespace) -> int:
                 for axiom, entry in report.items()
             },
         }
-        _emit(json.dumps(payload, indent=2), args.out)
+        _emit(json.dumps(payload, indent=2, allow_nan=False), args.out)
     else:
         _emit(_render_audit_table(args.algo, args.iterations, args.seed, report), args.out)
     return EXIT_OK

@@ -16,6 +16,7 @@ the numbers bit for bit.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -24,13 +25,30 @@ from .algorithms import AggregationTrace, Assessment, CombinedAssessment
 from .decision import UtilityFunction
 from .dst import GradeFrame
 from .errors import ModelFormatError, ModelValidationError
-from .hierarchy import AttributeNode, EvaluationModel, validate
+from .hierarchy import AttributeNode, BatchEvaluation, EvaluationModel, validate
 
 MODEL_SCHEMA = "er-model/1"
 RESULT_SCHEMA = "er-result/1"
 
 _MODEL_KEYS = {"schema", "frame", "utilities", "alternatives", "tree"}
 _NODE_KEYS = {"name", "reliability", "importance", "weight", "children", "assessments"}
+
+
+def _parse_json(text: str, where: str):
+    """JSON text as Python values; bad syntax, non-finite numbers and deep nesting raise."""
+
+    def reject_constant(name: str):
+        raise ModelFormatError(f"{where}: non-finite number {name} is not allowed")
+
+    try:
+        return json.loads(text, parse_constant=reject_constant)
+    except json.JSONDecodeError as exc:
+        raise ModelFormatError(f"{where}: not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise ModelFormatError(
+            f"{where}: nested deeper than the JSON parser's limit "
+            f"(about {sys.getrecursionlimit()} levels of objects and lists)"
+        ) from None
 
 
 def _reject_unknown(mapping: Mapping, allowed: set[str], where: str, strict: bool) -> None:
@@ -134,10 +152,7 @@ def load_model(
     else:
         text = Path(source).read_text(encoding="utf-8")
         where = source
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ModelFormatError(f"{where}: not valid JSON: {exc}") from exc
+    doc = _parse_json(text, where)
     if not isinstance(doc, Mapping):
         raise ModelFormatError(f"{where}: top level must be an object")
     _reject_unknown(doc, _MODEL_KEYS, where, strict)
@@ -146,10 +161,10 @@ def load_model(
         raise ModelFormatError(f"{where}: unsupported schema {schema!r}")
 
     frame_raw = _require(doc, "frame", where)
-    if not isinstance(frame_raw, list):
-        raise ModelFormatError(f"{where}: frame must be a list of grades")
+    if not isinstance(frame_raw, list) or not all(isinstance(g, str) for g in frame_raw):
+        raise ModelFormatError(f"{where}: frame must be a list of grade strings")
     try:
-        frame = GradeFrame(str(g) for g in frame_raw)
+        frame = GradeFrame(frame_raw)
     except ValueError as exc:
         raise ModelFormatError(f"{where}: bad frame: {exc}") from exc
 
@@ -210,7 +225,7 @@ def save_model(model: EvaluationModel) -> str:
     }
     if model.utility is not None:
         doc["utilities"] = model.utility.by_grade
-    return json.dumps(doc, indent=2)
+    return json.dumps(doc, indent=2, allow_nan=False)
 
 
 def trace_to_json(trace: AggregationTrace, frame: GradeFrame) -> list[dict]:
@@ -244,25 +259,40 @@ class ResultDocument:
         return self.node_results[alternative][root_path]
 
 
+def _batch_distributions(batch: BatchEvaluation) -> dict[str, dict[str, dict]]:
+    """alternative -> path -> distribution, read off each node's arrays once."""
+    grades = batch.frame.grades
+    out: dict[str, dict[str, dict]] = {alt: {} for alt in batch.alternatives}
+    for path, assigned, unassigned in zip(batch.paths, batch.assigned, batch.unassigned):
+        for results, row, u in zip(out.values(), assigned.tolist(), unassigned.tolist()):
+            results[path] = {"assigned": dict(zip(grades, row)), "unassigned": u}
+    return out
+
+
 def result_from_evaluation(
     algorithm: str,
     model: EvaluationModel,
-    per_alternative: Mapping[str, Mapping[str, CombinedAssessment]],
+    per_alternative: Mapping[str, Mapping[str, CombinedAssessment]] | BatchEvaluation,
     utilities: Mapping[str, float],
     redistributed: Mapping[str, Mapping[str, float]],
     ranking: Sequence[str],
     traces: Mapping[str, Mapping[str, list[dict]]] | None = None,
 ) -> ResultDocument:
-    node_results = {
-        alt: {
-            path: {
-                "assigned": combined.assigned_degrees,
-                "unassigned": combined.unassigned,
+    """Bundle one algorithm's results, from :func:`~erkit.hierarchy.evaluate`
+    per alternative or from one :func:`~erkit.hierarchy.evaluate_batch`."""
+    if isinstance(per_alternative, BatchEvaluation):
+        node_results = _batch_distributions(per_alternative)
+    else:
+        node_results = {
+            alt: {
+                path: {
+                    "assigned": combined.assigned_degrees,
+                    "unassigned": combined.unassigned,
+                }
+                for path, combined in results.items()
             }
-            for path, combined in results.items()
+            for alt, results in per_alternative.items()
         }
-        for alt, results in per_alternative.items()
-    }
     return ResultDocument(
         algorithm=algorithm,
         frame=model.frame.grades,
@@ -321,7 +351,7 @@ def save_results(
             "schema": RESULT_SCHEMA,
             "documents": [_document_to_json(d) for d in documents],
         }
-        return json.dumps(payload, indent=2)
+        return json.dumps(payload, indent=2, allow_nan=False)
     if format == "table":
         return render_tables(documents)
     if format == "csv":
@@ -331,10 +361,7 @@ def save_results(
 
 def load_results(text: str) -> list[ResultDocument]:
     """Parse result documents saved in the machine-readable format."""
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ModelFormatError(f"not valid JSON: {exc}") from exc
+    raw = _parse_json(text, "result document")
     if not isinstance(raw, Mapping) or raw.get("schema") != RESULT_SCHEMA:
         raise ModelFormatError("unsupported result document")
     return [_document_from_json(d) for d in raw["documents"]]

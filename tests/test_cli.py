@@ -212,6 +212,14 @@ class TestMalformedModels:
                 lambda d: d["tree"]["children"][0]["assessments"]["a"].update(h=True),
                 id="boolean-degree",
             ),
+            # grades named "0" and "1" in every other place, so only the frame's type is wrong
+            pytest.param(
+                lambda d: (
+                    d.update(frame=[0, 1], utilities={"0": 0.0, "1": 1.0}),
+                    d["tree"]["children"][0]["assessments"].update(a={"1": 0.6}),
+                ),
+                id="frame-numbers",
+            ),
         ],
     )
     def test_schema_type_error_is_validation_failure(self, capsys, tmp_path, mutate):
@@ -225,3 +233,24 @@ class TestMalformedModels:
         code, _, err = run(capsys, "evaluate", str(path))
         assert code == EXIT_VALIDATION
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_number_is_validation_failure(self, capsys, tmp_path, constant):
+        text = json.dumps(_toy_document()).replace('"reliability": 1.0', f'"reliability": {constant}')
+        path = tmp_path / "bad.json"
+        path.write_text(text, encoding="utf-8")
+        code, _, err = run(capsys, "evaluate", str(path))
+        assert code == EXIT_VALIDATION
+        assert err.startswith("error:") and f"non-finite number {constant}" in err
+
+    def test_nesting_beyond_the_parser_limit_is_validation_failure(self, capsys, tmp_path):
+        leaf = '{"name": "x", "reliability": 0.5, "importance": 0.5, "assessments": {"a": {"h": 0.6}}}'
+        node = '{"name": "y", "reliability": 0.5, "importance": 0.5, "assessments": {"a": {"l": 0.2}}}'
+        for _ in range(600):
+            node = '{"name": "n", "importance": 0.5, "children": [' + leaf + ", " + node + "]}"
+        path = tmp_path / "deep.json"
+        path.write_text('{"frame": ["l", "h"], "alternatives": ["a"], "tree": ' + node + "}", encoding="utf-8")
+        code, out, err = run(capsys, "evaluate", "--algo", "all", "--format", "json", str(path))
+        assert code == EXIT_VALIDATION
+        assert err.startswith("error:") and "nested deeper than the JSON parser's limit" in err
+        assert "Traceback" not in err and out == ""

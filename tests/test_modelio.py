@@ -1,6 +1,7 @@
 """Tests for model and result serialization."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -15,7 +16,7 @@ from erkit import (
     save_results,
     validate,
 )
-from erkit.cli import _run_algorithm
+from erkit.cli import _run_algorithms
 from erkit.hierarchy import derive_reliabilities
 
 
@@ -112,6 +113,34 @@ class TestLoadModel:
         assert model.utility.values == (0.5, 1.0)
 
 
+class TestNonFiniteNumbers:
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_rejected_in_models(self, constant):
+        text = json.dumps(MINIMAL).replace('"reliability": 0.8', f'"reliability": {constant}', 1)
+        assert constant in text
+        with pytest.raises(ModelFormatError, match=f"non-finite number {constant}"):
+            load_model(text)
+
+    def test_rejected_in_result_documents(self):
+        text = save_results(_run_algorithms(derive_reliabilities(motorcycle_model()), ("e2r",), False))
+        with pytest.raises(ModelFormatError, match="non-finite number NaN"):
+            load_results(text.replace('"utility": 0.', '"utility": NaN, "was": 0.', 1))
+
+    def test_never_written(self):
+        model = derive_reliabilities(motorcycle_model())
+        (document,) = _run_algorithms(model, ("e2r",), with_trace=False)
+        document.utilities["Honda"] = float("nan")
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            save_results(document)
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            save_model(replace(model, root=replace(model.root, reliability=float("inf"))))
+
+
+def test_result_documents_nested_beyond_the_parser_limit_are_rejected():
+    with pytest.raises(ModelFormatError, match="nested deeper"):
+        load_results("[" * 100_000 + "]" * 100_000)
+
+
 class TestSaveModel:
     def test_round_trip_preserves_model(self):
         model = motorcycle_model()
@@ -139,7 +168,7 @@ class TestSaveModel:
 class TestResultDocuments:
     def _documents(self):
         model = derive_reliabilities(motorcycle_model())
-        return [_run_algorithm(model, algo, with_trace=False) for algo in ("oer", "mer", "e2r")]
+        return _run_algorithms(model, ("oer", "mer", "e2r"), with_trace=False)
 
     def test_json_round_trip(self):
         documents = self._documents()
@@ -148,7 +177,7 @@ class TestResultDocuments:
 
     def test_json_round_trip_with_traces(self):
         model = derive_reliabilities(motorcycle_model())
-        document = _run_algorithm(model, "e2r", with_trace=True)
+        (document,) = _run_algorithms(model, ("e2r",), with_trace=True)
         again = load_results(save_results(document, format="json"))
         assert again == [document]
 
