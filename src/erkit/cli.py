@@ -164,15 +164,12 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 def _compare_report(documents: list[ResultDocument]) -> dict:
     frame = list(documents[0].frame)
     alternatives = documents[0].alternatives
-    by_algo = {doc.algorithm: doc for doc in documents}
+    roots = {doc.algorithm: doc.root_rows() for doc in documents}
     comparison = {}
-    for alt in alternatives:
+    for i, alt in enumerate(alternatives):
         dists = {
-            algo: {
-                **{g: doc.root_distribution(alt)["assigned"][g] for g in frame},
-                "Unknown": doc.root_distribution(alt)["unassigned"],
-            }
-            for algo, doc in by_algo.items()
+            algo: {**dict(zip(frame, assigned[i])), "Unknown": unassigned[i]}
+            for algo, (assigned, unassigned) in roots.items()
         }
         deltas = {}
         for a, b in (("mer", "oer"), ("e2r", "oer"), ("e2r", "mer")):

@@ -165,6 +165,7 @@ def derive_reliabilities(model: EvaluationModel, strict: bool = False) -> Evalua
 def validate(model: EvaluationModel) -> list[Diagnostic]:
     """Collect every structural problem in the model; empty means well-formed."""
     problems: list[Diagnostic] = []
+    declared = set(model.alternatives)
     for path, node in model.walk():
         for name in ("reliability", "importance", "weight"):
             value = getattr(node, name)
@@ -176,7 +177,7 @@ def validate(model: EvaluationModel) -> list[Diagnostic]:
             missing = [a for a in model.alternatives if a not in node.assessments]
             if missing:
                 problems.append(Diagnostic(path, f"missing assessments for {missing}"))
-            undeclared = [a for a in node.assessments if a not in model.alternatives]
+            undeclared = [a for a in node.assessments if a not in declared]
             if undeclared:
                 problems.append(
                     Diagnostic(path, f"assessments for undeclared alternatives {undeclared}")

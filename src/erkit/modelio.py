@@ -8,18 +8,38 @@ stored exactly as elicited and the unassigned residual stays implicit.
 
 Result documents bundle, per algorithm, the per-node combined
 distributions, the redistributed degrees, expected utilities, the ranking,
-and (optionally) aggregation traces.  JSON serialization uses the shortest
-round-trip float representation, so loading a saved document reproduces
-the numbers bit for bit.
+and (optionally) aggregation traces.  Node results have one
+representation: arrays over nodes in post-order, root last, as
+:func:`~erkit.hierarchy.evaluate_batch` gives them: ``assigned`` (nodes ×
+alternatives × grades) and ``unassigned`` (nodes × alternatives).  A batch
+keeps its arrays, per-alternative results are stacked into them, and
+:func:`load_results` fills them; ``node_results`` is a read-only
+alternative -> path -> distribution view built on access, and the table,
+CSV and comparison reports read the root row only.
+
+The JSON report is written straight from the arrays by one ``%`` template
+per document, so the per-node dicts are never built and the
+pure-Python indenting encoder never walks them.  Its output is byte for
+byte what ``json.dumps(payload, indent=2, allow_nan=False)`` gives for
+the nested-dict payload (keys escaped as ``ensure_ascii`` escapes them,
+floats through ``float.__repr__``, non-finite values rejected), so the
+file format is unchanged; the test suite holds it to that.  The shortest
+round-trip float representation means loading a saved document
+reproduces the numbers bit for bit.
 """
 
 from __future__ import annotations
 
 import json
 import sys
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, replace
+from functools import cached_property
+from json.encoder import encode_basestring_ascii as _escape
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from types import MappingProxyType
+
+import numpy as np
 
 from .algorithms import AggregationTrace, Assessment, CombinedAssessment
 from .decision import UtilityFunction
@@ -241,32 +261,96 @@ def trace_to_json(trace: AggregationTrace, frame: GradeFrame) -> list[dict]:
     ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ResultDocument:
-    """Evaluation output of one algorithm over all alternatives."""
+    """Evaluation output of one algorithm over all alternatives.
+
+    Node results are arrays: ``assigned`` is (nodes × alternatives ×
+    grades) and ``unassigned`` (nodes × alternatives), nodes following
+    ``paths`` (post-order, root last) and alternatives ``alternatives``.
+    ``node_results`` reads them as alternative -> path -> distribution.
+    """
 
     algorithm: str
     frame: tuple[str, ...]
     alternatives: tuple[str, ...]
-    node_results: dict[str, dict[str, dict]]  # alternative -> path -> distribution
+    paths: tuple[str, ...]
+    assigned: np.ndarray
+    unassigned: np.ndarray
     redistributed: dict[str, dict[str, float]]
     utilities: dict[str, float]
     ranking: tuple[str, ...]
     traces: dict[str, dict[str, list[dict]]] | None = None
 
+    def __post_init__(self):
+        if not self.paths or not self.alternatives:
+            raise ValueError("a result document needs at least one node and one alternative")
+        shape = (len(self.paths), len(self.alternatives))
+        if self.assigned.shape != (*shape, len(self.frame)) or self.unassigned.shape != shape:
+            raise ValueError(
+                "node arrays must be (nodes × alternatives × grades) and (nodes × alternatives)"
+            )
+        # Grades, alternatives and paths become JSON keys; a repeat would write a key twice.
+        for name in ("frame", "alternatives", "paths"):
+            if len(set(getattr(self, name))) != len(getattr(self, name)):
+                raise ValueError(f"{name} must be unique")
+
+    def __eq__(self, other):
+        if not isinstance(other, ResultDocument):
+            return NotImplemented
+        return (
+            (self.algorithm, self.frame, self.alternatives, self.paths)
+            == (other.algorithm, other.frame, other.alternatives, other.paths)
+            and (self.redistributed, self.utilities, self.ranking, self.traces)
+            == (other.redistributed, other.utilities, other.ranking, other.traces)
+            and np.array_equal(self.assigned, other.assigned)
+            and np.array_equal(self.unassigned, other.unassigned)
+        )
+
+    @cached_property
+    def _column(self) -> dict[str, int]:
+        return {alt: i for i, alt in enumerate(self.alternatives)}
+
+    @property
+    def node_results(self) -> Mapping[str, Mapping[str, dict]]:
+        """alternative -> path -> distribution, read off the arrays on access."""
+        return _NodeResults(self)
+
+    def root_rows(self) -> tuple[list[list[float]], list[float]]:
+        """The root's assigned degrees and unassigned degree, one entry per alternative."""
+        return self.assigned[-1].tolist(), self.unassigned[-1].tolist()
+
     def root_distribution(self, alternative: str) -> dict:
-        root_path = min(self.node_results[alternative], key=len)
-        return self.node_results[alternative][root_path]
+        i = self._column[alternative]
+        return {
+            "assigned": dict(zip(self.frame, self.assigned[-1, i].tolist())),
+            "unassigned": float(self.unassigned[-1, i]),
+        }
 
 
-def _batch_distributions(batch: BatchEvaluation) -> dict[str, dict[str, dict]]:
-    """alternative -> path -> distribution, read off each node's arrays once."""
-    grades = batch.frame.grades
-    out: dict[str, dict[str, dict]] = {alt: {} for alt in batch.alternatives}
-    for path, assigned, unassigned in zip(batch.paths, batch.assigned, batch.unassigned):
-        for results, row, u in zip(out.values(), assigned.tolist(), unassigned.tolist()):
-            results[path] = {"assigned": dict(zip(grades, row)), "unassigned": u}
-    return out
+class _NodeResults(Mapping):
+    """Read-only alternative -> path -> distribution view of a document's arrays."""
+
+    def __init__(self, doc: ResultDocument):
+        self._doc = doc
+
+    def __getitem__(self, alternative: str) -> Mapping[str, dict]:
+        doc = self._doc
+        i = doc._column[alternative]
+        return MappingProxyType(
+            {
+                path: {"assigned": dict(zip(doc.frame, row)), "unassigned": u}
+                for path, row, u in zip(
+                    doc.paths, doc.assigned[:, i].tolist(), doc.unassigned[:, i].tolist()
+                )
+            }
+        )
+
+    def __iter__(self):
+        return iter(self._doc.alternatives)
+
+    def __len__(self) -> int:
+        return len(self._doc.alternatives)
 
 
 def result_from_evaluation(
@@ -279,25 +363,35 @@ def result_from_evaluation(
     traces: Mapping[str, Mapping[str, list[dict]]] | None = None,
 ) -> ResultDocument:
     """Bundle one algorithm's results, from :func:`~erkit.hierarchy.evaluate`
-    per alternative or from one :func:`~erkit.hierarchy.evaluate_batch`."""
+    per alternative (stacked into arrays) or from one
+    :func:`~erkit.hierarchy.evaluate_batch` (its arrays kept)."""
+    alternatives = model.alternatives
     if isinstance(per_alternative, BatchEvaluation):
-        node_results = _batch_distributions(per_alternative)
+        paths = per_alternative.paths
+        assigned, unassigned = per_alternative.assigned, per_alternative.unassigned
+        # Siblings sharing a name give one path twice.  Keep what a dict keyed
+        # by path keeps, as evaluate() does: the first position, the last row.
+        rows = {path: i for i, path in enumerate(paths)}
+        if len(rows) < len(paths):
+            paths, keep = tuple(rows), list(rows.values())
+            assigned, unassigned = assigned[keep], unassigned[keep]
     else:
-        node_results = {
-            alt: {
-                path: {
-                    "assigned": combined.assigned_degrees,
-                    "unassigned": combined.unassigned,
-                }
-                for path, combined in results.items()
-            }
-            for alt, results in per_alternative.items()
-        }
+        results = [per_alternative[alt] for alt in alternatives]
+        paths = tuple(results[0])
+        if any(r.keys() != results[0].keys() for r in results):
+            raise ValueError("every alternative needs results for the same nodes")
+        if paths[-1] != model.root.name:
+            raise ValueError("node results must list the root last")
+        # Stacked alternative-major, then viewed node-major like a batch.
+        assigned = np.array([[r[p].assigned for p in paths] for r in results]).transpose(1, 0, 2)
+        unassigned = np.array([[r[p].unassigned for p in paths] for r in results]).T
     return ResultDocument(
         algorithm=algorithm,
         frame=model.frame.grades,
-        alternatives=model.alternatives,
-        node_results=node_results,
+        alternatives=alternatives,
+        paths=paths,
+        assigned=assigned,
+        unassigned=unassigned,
         redistributed={a: dict(r) for a, r in redistributed.items()},
         utilities=dict(utilities),
         ranking=tuple(ranking),
@@ -305,39 +399,77 @@ def result_from_evaluation(
     )
 
 
-def _document_to_json(doc: ResultDocument) -> dict:
-    out = {
-        "algorithm": doc.algorithm,
-        "frame": list(doc.frame),
-        "alternatives": list(doc.alternatives),
-        "results": {
-            alt: {
-                "nodes": doc.node_results[alt],
-                "redistributed": doc.redistributed[alt],
-                "utility": doc.utilities[alt],
-            }
-            for alt in doc.alternatives
-        },
-        "ranking": list(doc.ranking),
-    }
-    if doc.traces is not None:
-        out["traces"] = doc.traces
-    return out
+def _dumps(value, indent: int) -> str:
+    """``json.dumps(value, indent=2)`` nested ``indent`` spaces deep.
+
+    A JSON string never holds a raw newline, so every ``"\\n"`` replaced is a
+    line break of the layout.
+    """
+    return json.dumps(value, indent=2, allow_nan=False).replace("\n", "\n" + " " * indent)
 
 
-def _document_from_json(raw: Mapping) -> ResultDocument:
-    alternatives = tuple(raw["alternatives"])
-    results = raw["results"]
-    return ResultDocument(
-        algorithm=raw["algorithm"],
-        frame=tuple(raw["frame"]),
-        alternatives=alternatives,
-        node_results={a: dict(results[a]["nodes"]) for a in alternatives},
-        redistributed={a: dict(results[a]["redistributed"]) for a in alternatives},
-        utilities={a: results[a]["utility"] for a in alternatives},
-        ranking=tuple(raw["ranking"]),
-        traces={a: dict(t) for a, t in raw["traces"].items()} if "traces" in raw else None,
+def _block(members: Sequence[str], indent: int) -> str:
+    """A non-empty indent-2 JSON object of rendered members, closed ``indent`` spaces deep."""
+    return "{\n" + ",\n".join(members) + "\n" + " " * indent + "}"
+
+
+def _template_key(key: str) -> str:
+    """A JSON key, escaped once, safe to embed in a ``%`` template."""
+    return _escape(key).replace("%", "%%")
+
+
+def _nodes_template(doc: ResultDocument) -> str:
+    """The ``"nodes"`` object of one alternative: ``%r`` per degree, node after node."""
+    assigned = _block([" " * 16 + _template_key(g) + ": %r" for g in doc.frame], 14)
+    record = ': {\n' + " " * 14 + '"assigned": ' + assigned + ",\n"
+    record += " " * 14 + '"unassigned": %r\n' + " " * 12 + "}"
+    return _block([" " * 12 + _template_key(path) + record for path in doc.paths], 10)
+
+
+def _write_document(doc: ResultDocument, out: list[str]) -> None:
+    """Append one result document to ``out`` as ``json.dumps(indent=2)`` lays
+    it out in the report's ``documents`` list."""
+    values = np.concatenate([doc.assigned, doc.unassigned[:, :, None]], axis=2)
+    if not np.isfinite(values).all():
+        bad = float(values[~np.isfinite(values)][0])
+        raise ValueError(f"Out of range float values are not JSON compliant: {bad!r}")
+    # One flat row of floats per alternative, in the order of the template's %r.
+    per_alternative = len(doc.paths) * (len(doc.frame) + 1)
+    rows = values.transpose(1, 0, 2).reshape(len(doc.alternatives), per_alternative).tolist()
+    nodes = _nodes_template(doc)
+    out.append(
+        '{\n      "algorithm": ' + _dumps(doc.algorithm, 6)
+        + ',\n      "frame": ' + _dumps(list(doc.frame), 6)
+        + ',\n      "alternatives": ' + _dumps(list(doc.alternatives), 6)
+        + ',\n      "results": {'
     )
+    for i, (alt, row) in enumerate(zip(doc.alternatives, rows)):
+        out.append((",\n" if i else "\n") + " " * 8 + _escape(alt) + ': {\n          "nodes": ')
+        out.append(nodes % tuple(row))
+        out.append(
+            ',\n          "redistributed": ' + _dumps(doc.redistributed[alt], 10)
+            + ',\n          "utility": ' + _dumps(doc.utilities[alt], 10)
+            + "\n        }"
+        )
+    out.append('\n      },\n      "ranking": ' + _dumps(list(doc.ranking), 6))
+    if doc.traces is not None:
+        out.append(',\n      "traces": ' + _dumps(doc.traces, 6))
+    out.append("\n    }")
+
+
+def _write_json(documents: Sequence[ResultDocument]) -> str:
+    """The indent-2 JSON report: byte for byte what ``json.dumps`` gives for
+    the nested-dict payload, rendered from the documents' arrays.
+
+    Pieces are collected in one flat list and joined once, so the report is
+    copied once, not once per nesting level.
+    """
+    out = ['{\n  "schema": ' + _dumps(RESULT_SCHEMA, 2) + ',\n  "documents": [']
+    for i, doc in enumerate(documents):
+        out.append((",\n" if i else "\n") + "    ")
+        _write_document(doc, out)
+    out.append("\n  ]\n}" if documents else "]\n}")
+    return "".join(out)
 
 
 def save_results(
@@ -347,11 +479,7 @@ def save_results(
     if isinstance(documents, ResultDocument):
         documents = [documents]
     if format == "json":
-        payload = {
-            "schema": RESULT_SCHEMA,
-            "documents": [_document_to_json(d) for d in documents],
-        }
-        return json.dumps(payload, indent=2, allow_nan=False)
+        return _write_json(documents)
     if format == "table":
         return render_tables(documents)
     if format == "csv":
@@ -359,12 +487,120 @@ def save_results(
     raise ValueError(f"unknown format {format!r}; expected json, table, or csv")
 
 
+def _require_object(mapping: Mapping, key: str, where: str) -> Mapping:
+    value = _require(mapping, key, where)
+    if not isinstance(value, Mapping):
+        raise ModelFormatError(f"{where}: {key} must be an object")
+    return value
+
+
+def _require_strings(mapping: Mapping, key: str, where: str) -> tuple[str, ...]:
+    value = _require(mapping, key, where)
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise ModelFormatError(f"{where}: {key} must be a list of strings")
+    return tuple(value)
+
+
+_NUMBER_TYPES = frozenset((int, float))
+
+
+def _node_values(dist, frame: tuple[str, ...], where: str, path: str) -> list:
+    """One node's degrees in frame order, then its unassigned degree; numbers only.
+
+    Checked per node rather than per value, as a saved report holds one
+    node per path and alternative; the message is built only on failure.
+    """
+    degrees = dist.get("assigned") if isinstance(dist, Mapping) else None
+    try:
+        values = [degrees[g] for g in frame] if len(degrees) == len(frame) else None
+    except (KeyError, TypeError):
+        values = None
+    if values is None:
+        raise ModelFormatError(
+            f"{where}: node {path!r} needs an assigned object with one degree per grade"
+        )
+    values.append(dist.get("unassigned"))
+    # Exact types: a JSON boolean is an int subclass and is not a degree.
+    if not _NUMBER_TYPES.issuperset(map(type, values)):
+        raise ModelFormatError(f"{where}: node {path!r}: degrees must be numbers, got {values!r}")
+    return values
+
+
+def _document_from_json(raw, where: str) -> ResultDocument:
+    """One result document, every point of its schema checked, its node results as arrays."""
+    if not isinstance(raw, Mapping):
+        raise ModelFormatError(f"{where}: must be an object")
+    algorithm = _require(raw, "algorithm", where)
+    if not isinstance(algorithm, str):
+        raise ModelFormatError(f"{where}: algorithm must be a string")
+    frame = _require_strings(raw, "frame", where)
+    alternatives = _require_strings(raw, "alternatives", where)
+    for key, values in (("frame", frame), ("alternatives", alternatives)):
+        if not values or len(set(values)) != len(values):
+            raise ModelFormatError(f"{where}: {key} must be non-empty and must not repeat an entry")
+    results = _require_object(raw, "results", where)
+    ranking = _require_strings(raw, "ranking", where)
+    traces = raw.get("traces")
+    if traces is not None and not (
+        isinstance(traces, Mapping) and all(isinstance(t, Mapping) for t in traces.values())
+    ):
+        raise ModelFormatError(f"{where}: traces must map alternatives to objects")
+
+    paths: tuple[str, ...] = ()
+    values, redistributed, utilities = [], {}, {}
+    for alt in alternatives:
+        if alt not in results:
+            raise ModelFormatError(f"{where}: no results for alternative {alt!r}")
+        here = f"{where}: results for {alt!r}"
+        entry = results[alt]
+        if not isinstance(entry, Mapping):
+            raise ModelFormatError(f"{here}: must be an object")
+        nodes = _require_object(entry, "nodes", here)
+        if not paths:
+            paths = tuple(nodes)
+            if not paths or not all(p.startswith(paths[-1] + "/") for p in paths[:-1]):
+                raise ModelFormatError(
+                    f"{here}: nodes must end with the root, the path every other path extends"
+                )
+        elif len(nodes) != len(paths) or not all(p in nodes for p in paths):
+            raise ModelFormatError(f"{here}: nodes must name the same paths for every alternative")
+        for path in paths:
+            values.extend(_node_values(nodes[path], frame, here, path))
+        redistributed[alt] = {
+            g: _number(d, "redistributed degree", here)
+            for g, d in _require_object(entry, "redistributed", here).items()
+        }
+        utilities[alt] = _number(_require(entry, "utility", here), "utility", here)
+
+    grades = len(frame)
+    stacked = np.array(values, dtype=float).reshape(len(alternatives), len(paths), grades + 1)
+    return ResultDocument(
+        algorithm=algorithm,
+        frame=frame,
+        alternatives=alternatives,
+        paths=paths,
+        assigned=stacked[:, :, :grades].transpose(1, 0, 2),
+        unassigned=stacked[:, :, grades].T,
+        redistributed=redistributed,
+        utilities=utilities,
+        ranking=ranking,
+        traces={a: dict(t) for a, t in traces.items()} if traces is not None else None,
+    )
+
+
 def load_results(text: str) -> list[ResultDocument]:
-    """Parse result documents saved in the machine-readable format."""
+    """Parse result documents saved in the machine-readable format.
+
+    Any departure from the schema raises
+    :class:`~erkit.errors.ModelFormatError`.
+    """
     raw = _parse_json(text, "result document")
     if not isinstance(raw, Mapping) or raw.get("schema") != RESULT_SCHEMA:
         raise ModelFormatError("unsupported result document")
-    return [_document_from_json(d) for d in raw["documents"]]
+    documents = _require(raw, "documents", "result document")
+    if not isinstance(documents, list):
+        raise ModelFormatError("result document: documents must be a list")
+    return [_document_from_json(d, f"result document {i}") for i, d in enumerate(documents)]
 
 
 def _format_row(cells: Iterable[str], widths: Sequence[int]) -> str:
@@ -387,16 +623,10 @@ def render_tables(documents: Sequence[ResultDocument]) -> str:
     blocks = []
     for doc in documents:
         headers = ["Alternative", *doc.frame, "Unknown"]
-        rows = []
-        for alt in doc.alternatives:
-            dist = doc.root_distribution(alt)
-            rows.append(
-                [
-                    alt,
-                    *(f"{dist['assigned'][g]:.4f}" for g in doc.frame),
-                    f"{dist['unassigned']:.4f}",
-                ]
-            )
+        rows = [
+            [alt, *(f"{d:.4f}" for d in row), f"{u:.4f}"]
+            for alt, row, u in zip(doc.alternatives, *doc.root_rows())
+        ]
         blocks.append(
             f"Combined assessment ({doc.algorithm})\n" + _table(headers, rows)
         )
@@ -417,9 +647,8 @@ def render_csv(documents: Sequence[ResultDocument]) -> str:
     """Long-format plot data: one row per algorithm, alternative, and grade."""
     lines = ["algorithm,alternative,grade,degree"]
     for doc in documents:
-        for alt in doc.alternatives:
-            dist = doc.root_distribution(alt)
-            for g in doc.frame:
-                lines.append(f"{doc.algorithm},{alt},{g},{dist['assigned'][g]!r}")
-            lines.append(f"{doc.algorithm},{alt},Unknown,{dist['unassigned']!r}")
+        for alt, row, u in zip(doc.alternatives, *doc.root_rows()):
+            for g, d in zip(doc.frame, row):
+                lines.append(f"{doc.algorithm},{alt},{g},{d!r}")
+            lines.append(f"{doc.algorithm},{alt},Unknown,{u!r}")
     return "\n".join(lines) + "\n"

@@ -1,6 +1,9 @@
 """The batch path: every alternative folded at once, bit for bit the per-alternative result."""
 
+import itertools
 import json
+import math
+from dataclasses import replace
 from functools import reduce
 
 import numpy as np
@@ -15,6 +18,8 @@ from erkit import (
     CompiledModel,
     CompleteConflictError,
     EvaluationModel,
+    GradeFrame,
+    UtilityFunction,
     assessment_to_bba,
     derive_reliabilities,
     dempster_combine,
@@ -22,13 +27,15 @@ from erkit import (
     evaluate_batch,
     extended_dempster_combine,
     importance_discount,
+    load_model,
     motorcycle_model,
     normalize_ibba,
     reliability_discount,
     reliability_importance_discount,
+    save_results,
     validate,
 )
-from erkit.cli import EXIT_RUNTIME, main
+from erkit.cli import EXIT_RUNTIME, _run_algorithms, main
 
 from randgen import frame_of, random_assessment
 
@@ -249,3 +256,128 @@ def test_a_3000_level_chain_has_no_recursion_limit():
             root = evaluate(plan, scheme, alt)[model.root.name]
             assert tuple(batch.assigned[-1][a].tolist()) == root.assigned
             assert float(batch.unassigned[-1][a]) == root.unassigned
+
+
+#: Names a hand-rolled JSON writer could mangle: % templates, JSON escapes, non-ASCII.
+AWKWARD = ("%", "%r", '"', "\\", "\n", "\u00fc", "\u20ac %s", "\t")
+
+
+def awkward_model(model):
+    """``model`` with every node, grade and alternative renamed after AWKWARD, and a utility."""
+    frame = GradeFrame(f"{AWKWARD[i % len(AWKWARD)]}{i}" for i in range(model.frame.size))
+    alts = {a: f"{AWKWARD[-1 - i % len(AWKWARD)]}{a}" for i, a in enumerate(model.alternatives)}
+    prefixes = itertools.cycle(AWKWARD)
+
+    def rename(node):
+        return replace(
+            node,
+            name=next(prefixes) + node.name,
+            children=tuple(rename(c) for c in node.children),
+            assessments={alts[a]: Assessment(frame, x.degrees) for a, x in node.assessments.items()},
+        )
+
+    return EvaluationModel(
+        frame, tuple(alts.values()), rename(model.root), UtilityFunction.evenly_spaced(frame)
+    )
+
+
+def reference_report(model, documents):
+    """The report as ``json.dumps`` wrote the nested-dict payload before the array writer,
+    node results taken from per-alternative :func:`evaluate`."""
+    plan = CompiledModel(model)
+    payload = []
+    for doc in documents:
+        results = {}
+        for alt in doc.alternatives:
+            nodes = {
+                path: {"assigned": c.assigned_degrees, "unassigned": c.unassigned}
+                for path, c in evaluate(plan, doc.algorithm, alt).items()
+            }
+            results[alt] = {
+                "nodes": nodes,
+                "redistributed": doc.redistributed[alt],
+                "utility": doc.utilities[alt],
+            }
+        out = {
+            "algorithm": doc.algorithm,
+            "frame": list(doc.frame),
+            "alternatives": list(doc.alternatives),
+            "results": results,
+            "ranking": list(doc.ranking),
+        }
+        if doc.traces is not None:
+            out["traces"] = doc.traces
+        payload.append(out)
+    return json.dumps({"schema": "er-result/1", "documents": payload}, indent=2, allow_nan=False)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    depth=st.integers(1, 3),
+    branching=st.integers(1, 4),
+    grades=st.integers(2, 5),
+    alternatives=st.integers(1, 200),
+    with_trace=st.booleans(),
+)
+def test_json_writer_is_byte_identical_to_json_dumps(
+    seed, depth, branching, grades, alternatives, with_trace
+):
+    model = awkward_model(random_model(seed, depth, branching, grades, alternatives))
+    documents = _run_algorithms(model, AGGREGATORS, with_trace)
+    assert save_results(documents) == reference_report(model, documents)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    alternatives=st.integers(1, 20),
+    where=st.sampled_from(["assigned", "unassigned", "utility", "redistributed"]),
+    value=st.sampled_from([math.nan, math.inf, -math.inf]),
+    pick=st.integers(0, 10**6),
+)
+def test_json_writer_rejects_non_finite_values(seed, alternatives, where, value, pick):
+    model = awkward_model(random_model(seed, 2, 3, 3, alternatives))
+    (document,) = _run_algorithms(model, ("e2r",), with_trace=False)
+    node, alt, grade = pick % len(document.paths), pick % alternatives, pick % 3
+    name = document.alternatives[alt]
+    if where == "assigned":
+        document.assigned[node, alt, grade] = value
+    elif where == "unassigned":
+        document.unassigned[node, alt] = value
+    elif where == "utility":
+        document.utilities[name] = value
+    else:
+        document.redistributed[name][document.frame[grade]] = value
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        save_results(document)
+
+
+def _unique_keys(pairs):
+    keys = [k for k, _ in pairs]
+    assert len(set(keys)) == len(keys), keys
+    return dict(pairs)
+
+
+@pytest.mark.parametrize("with_trace", [False, True])
+def test_duplicate_sibling_names_write_one_key_per_path(with_trace):
+    """A model loaded unchecked with two children named x: one "root/x" key, as a dict keeps it."""
+    leaf = {"reliability": 0.9, "importance": 0.25}
+    text = json.dumps({
+        "schema": "er-model/1",
+        "frame": ["l", "h"],
+        "alternatives": ["a", "b"],
+        "tree": {"name": "root", "children": [
+            {"name": "x", **leaf, "assessments": {"a": {"l": 0.6}, "b": {"h": 1.0}}},
+            {"name": "y", **leaf, "assessments": {"a": {"h": 0.3}, "b": {"l": 0.5}}},
+            {"name": "x", **leaf, "assessments": {"a": {"h": 0.8}, "b": {"l": 0.1, "h": 0.2}}},
+            {"name": "z", **leaf, "assessments": {"a": {"h": 0.5}, "b": {"l": 0.5}}},
+        ]},
+    })
+    model = derive_reliabilities(load_model(text, check=False))
+    assert validate(model)
+    documents = _run_algorithms(model, AGGREGATORS, with_trace)
+    report = save_results(documents)
+    json.loads(report, object_pairs_hook=_unique_keys)
+    assert report == reference_report(model, documents)
+    assert documents[0].paths == ("root/x", "root/y", "root/z", "root")

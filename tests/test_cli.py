@@ -1,6 +1,7 @@
 """Tests for the command-line interface: exit codes, formats, determinism."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -254,3 +255,24 @@ class TestMalformedModels:
         assert code == EXIT_VALIDATION
         assert err.startswith("error:") and "nested deeper than the JSON parser's limit" in err
         assert "Traceback" not in err and out == ""
+
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
+
+
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (["evaluate", "--algo", "all", "--format", "json"], "evaluate_all.json"),
+        (["evaluate", "--algo", "all", "--format", "csv"], "evaluate_all.csv"),
+        (["evaluate", "--algo", "all", "--format", "table"], "evaluate_all.txt"),
+        (["evaluate", "--algo", "e2r", "--trace", "--format", "json"], "evaluate_e2r_trace.json"),
+        (["compare", "--format", "json"], "compare.json"),
+        (["compare", "--format", "table"], "compare.txt"),
+    ],
+)
+def test_motorcycle_reports_match_the_golden_files(capsys, model_file, argv, golden):
+    """The CLI's reports on the bundled model, byte for byte as recorded in tests/data/golden."""
+    code, out, err = run(capsys, *argv, model_file)
+    assert (code, err) == (EXIT_OK, "")
+    assert out == (GOLDEN / golden).read_text(encoding="utf-8")

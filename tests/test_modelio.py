@@ -206,3 +206,78 @@ class TestResultDocuments:
         for doc_a, doc_b in zip(documents, again):
             for alt in doc_a.alternatives:
                 assert doc_a.utilities[alt] == doc_b.utilities[alt]
+
+
+def _saved_minimal_payload() -> dict:
+    """The e2r result document of MINIMAL, with a second alternative "b" copied from "a"."""
+    model = derive_reliabilities(load_model(doc()))
+    payload = json.loads(save_results(_run_algorithms(model, ("e2r",), with_trace=False)))
+    document = payload["documents"][0]
+    document["alternatives"].append("b")
+    document["results"]["b"] = json.loads(json.dumps(document["results"]["a"]))
+    return payload
+
+
+def _nodes(payload, alt="a"):
+    return payload["documents"][0]["results"][alt]["nodes"]
+
+
+def _root_first(payload):
+    nodes = _nodes(payload)
+    payload["documents"][0]["results"]["a"]["nodes"] = {"root": nodes.pop("root"), **nodes}
+
+
+class TestMalformedResultDocuments:
+    def test_the_unmutated_payload_loads(self):
+        (document,) = load_results(json.dumps(_saved_minimal_payload()))
+        assert document.alternatives == ("a", "b")
+        assert document.paths == ("root/x", "root/y", "root")
+        assert document.root_distribution("b") == document.root_distribution("a")
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            pytest.param(lambda p: p.pop("documents"), id="no-documents"),
+            pytest.param(lambda p: p.update(documents={}), id="documents-object"),
+            pytest.param(lambda p: p.update(documents=[5]), id="document-number"),
+            pytest.param(lambda p: p["documents"][0].pop("algorithm"), id="no-algorithm"),
+            pytest.param(lambda p: p["documents"][0].update(frame=[0, 1]), id="frame-numbers"),
+            pytest.param(lambda p: p["documents"][0].update(frame="bg"), id="frame-string"),
+            pytest.param(lambda p: p["documents"][0].update(alternatives=["a", "a"]), id="repeated-alternative"),
+            pytest.param(lambda p: p["documents"][0].update(alternatives=[]), id="no-alternatives"),
+            pytest.param(lambda p: p["documents"][0]["alternatives"].append("c"), id="missing-results-entry"),
+            pytest.param(lambda p: p["documents"][0].update(results=[]), id="results-list"),
+            pytest.param(lambda p: p["documents"][0]["results"].update(a=[]), id="results-entry-list"),
+            pytest.param(lambda p: p["documents"][0].update(ranking=[1]), id="ranking-numbers"),
+            pytest.param(lambda p: p["documents"][0].update(traces=[]), id="traces-list"),
+            pytest.param(lambda p: p["documents"][0]["results"]["a"].pop("nodes"), id="no-nodes"),
+            pytest.param(lambda p: _nodes(p).clear(), id="empty-nodes"),
+            pytest.param(_root_first, id="root-not-last"),
+            pytest.param(lambda p: _nodes(p, "b").pop("root/y"), id="node-missing-for-one-alternative"),
+            pytest.param(lambda p: _nodes(p, "b").update(extra=_nodes(p)["root"]), id="node-extra-for-one-alternative"),
+            pytest.param(lambda p: _nodes(p).update(root=[0.5, 0.5]), id="node-list"),
+            pytest.param(lambda p: _nodes(p)["root"].pop("assigned"), id="no-assigned"),
+            pytest.param(lambda p: _nodes(p)["root"]["assigned"].pop("good"), id="missing-grade"),
+            pytest.param(lambda p: _nodes(p)["root"]["assigned"].update(fair=0.0), id="extra-grade"),
+            pytest.param(lambda p: _nodes(p)["root/x"]["assigned"].update(bad="0.5"), id="string-degree"),
+            pytest.param(lambda p: _nodes(p)["root"].update(unassigned=True), id="boolean-unassigned"),
+            pytest.param(lambda p: _nodes(p)["root"].pop("unassigned"), id="no-unassigned"),
+            pytest.param(lambda p: p["documents"][0]["results"]["b"].update(utility="0.7"), id="string-utility"),
+            pytest.param(lambda p: p["documents"][0]["results"]["b"].pop("utility"), id="no-utility"),
+            pytest.param(lambda p: p["documents"][0]["results"]["a"].update(redistributed=[0.5, 0.5]), id="redistributed-list"),
+            pytest.param(lambda p: p["documents"][0]["results"]["a"]["redistributed"].update(bad=None), id="redistributed-null"),
+        ],
+    )
+    def test_every_schema_point_raises_model_format_error(self, mutate):
+        payload = _saved_minimal_payload()
+        mutate(payload)
+        with pytest.raises(ModelFormatError, match="result document"):
+            load_results(json.dumps(payload))
+
+    def test_node_results_view_reads_the_arrays(self):
+        (document,) = load_results(json.dumps(_saved_minimal_payload()))
+        payload = _saved_minimal_payload()
+        assert dict(document.node_results["b"]) == _nodes(payload, "b")
+        assert list(document.node_results) == ["a", "b"]
+        with pytest.raises(TypeError):
+            document.node_results["a"]["root"] = {}
