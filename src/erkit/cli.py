@@ -40,6 +40,7 @@ from .hierarchy import (
 )
 from .modelio import (
     ResultDocument,
+    _format_row,
     result_from_evaluation,
     save_results,
     trace_to_json,
@@ -120,34 +121,26 @@ def _emit(text: str, out: Path | None) -> None:
 def _run_algorithms(
     model: EvaluationModel, algorithms: Iterable[str], with_trace: bool
 ) -> list[ResultDocument]:
-    """One result document per algorithm; the model is compiled once for all of them."""
+    """One result document per algorithm; the model is compiled once for all of them.
+
+    Node results always come from the batch.  With ``with_trace`` each
+    alternative is also evaluated alone, for its per-step traces only.
+    """
     plan = CompiledModel(model)
     documents = []
     for algorithm in algorithms:
+        batch = evaluate_batch(plan, algorithm)
+        traces = None
         if with_trace:
-            per_alternative, traces = {}, {}
-            for alt in model.alternatives:
-                per_alternative[alt], alt_traces = evaluate(plan, algorithm, alt, with_trace=True)
-                traces[alt] = {
+            traces = {
+                alt: {
                     path: trace_to_json(trace, model.frame)
-                    for path, trace in alt_traces.items()
+                    for path, trace in evaluate(plan, algorithm, alt, with_trace=True)[1].items()
                 }
-            roots = {alt: results[model.root.name] for alt, results in per_alternative.items()}
-        else:
-            per_alternative, traces = evaluate_batch(plan, algorithm), None
-            roots = per_alternative.roots()
-        ranked = decide(roots, model.utility)
-        documents.append(
-            result_from_evaluation(
-                algorithm,
-                model,
-                per_alternative,
-                ranked.utilities,
-                ranked.degrees,
-                ranked.ranking,
-                traces,
-            )
-        )
+                for alt in model.alternatives
+            }
+        ranked = decide(batch.roots(), model.utility)
+        documents.append(result_from_evaluation(batch, ranked, traces))
     return documents
 
 
@@ -194,14 +187,14 @@ def _render_compare_table(report: dict) -> str:
         lines.append(f"Alternative: {alt}")
         header = ["algorithm", *frame, "Unknown"]
         widths = [max(len(h), 11) for h in header]
-        lines.append("  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip())
+        lines.append(_format_row(header, widths))
         entry = report["comparison"][alt]
         for algo, dist in entry["distributions"].items():
             cells = [algo, *(f"{dist[key]:.4f}" for key in (*frame, "Unknown"))]
-            lines.append("  ".join(c.ljust(w) for c, w in zip(cells, widths)).rstrip())
+            lines.append(_format_row(cells, widths))
         for pair, delta in entry["deltas"].items():
             cells = [pair, *(f"{delta[key]:+.4f}" for key in (*frame, "Unknown"))]
-            lines.append("  ".join(c.ljust(w) for c, w in zip(cells, widths)).rstrip())
+            lines.append(_format_row(cells, widths))
         lines.append("")
     lines.append("Expected utilities")
     for algo, utils in report["utilities"].items():

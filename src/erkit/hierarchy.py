@@ -66,6 +66,23 @@ class AttributeNode:
         object.__setattr__(self, "children", tuple(self.children))
         object.__setattr__(self, "assessments", dict(self.assessments))
 
+    def __eq__(self, other):
+        """Field-wise equality, node by node along one iterative traversal."""
+        if type(other) is not type(self):
+            return NotImplemented
+        fields = ("name", "reliability", "importance", "weight", "assessments")
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if type(a) is not type(b) or len(a.children) != len(b.children):
+                return False
+            if any(getattr(a, f) != getattr(b, f) for f in fields):
+                return False
+            stack.extend(zip(a.children, b.children))
+        return True
+
     @property
     def is_basic(self) -> bool:
         return not self.children
@@ -186,12 +203,6 @@ def validate(model: EvaluationModel) -> list[Diagnostic]:
                 if assessment.frame != model.frame:
                     problems.append(
                         Diagnostic(path, f"assessment for {alt!r} uses a different frame")
-                    )
-                    continue
-                total = math.fsum(assessment.degrees)
-                if total > 1.0 + DEGREE_SUM_TOL:
-                    problems.append(
-                        Diagnostic(path, f"belief degrees for {alt!r} sum to {total}")
                     )
         else:
             if node.assessments:

@@ -12,10 +12,9 @@ and (optionally) aggregation traces.  Node results have one
 representation: arrays over nodes in post-order, root last, as
 :func:`~erkit.hierarchy.evaluate_batch` gives them: ``assigned`` (nodes ×
 alternatives × grades) and ``unassigned`` (nodes × alternatives).  A batch
-keeps its arrays, per-alternative results are stacked into them, and
-:func:`load_results` fills them; ``node_results`` is a read-only
-alternative -> path -> distribution view built on access, and the table,
-CSV and comparison reports read the root row only.
+keeps its arrays and :func:`load_results` fills them; ``node_results`` is
+a read-only alternative -> path -> distribution view built on access, and
+the table, CSV and comparison reports read the root row only.
 
 The JSON report is written straight from the arrays by one ``%`` template
 per document, so the per-node dicts are never built and the
@@ -41,8 +40,8 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .algorithms import AggregationTrace, Assessment, CombinedAssessment
-from .decision import UtilityFunction
+from .algorithms import AggregationTrace, Assessment
+from .decision import RankedResult, UtilityFunction
 from .dst import GradeFrame
 from .errors import ModelFormatError, ModelValidationError
 from .hierarchy import AttributeNode, BatchEvaluation, EvaluationModel, validate
@@ -354,47 +353,29 @@ class _NodeResults(Mapping):
 
 
 def result_from_evaluation(
-    algorithm: str,
-    model: EvaluationModel,
-    per_alternative: Mapping[str, Mapping[str, CombinedAssessment]] | BatchEvaluation,
-    utilities: Mapping[str, float],
-    redistributed: Mapping[str, Mapping[str, float]],
-    ranking: Sequence[str],
+    batch: BatchEvaluation,
+    ranked: RankedResult,
     traces: Mapping[str, Mapping[str, list[dict]]] | None = None,
 ) -> ResultDocument:
-    """Bundle one algorithm's results, from :func:`~erkit.hierarchy.evaluate`
-    per alternative (stacked into arrays) or from one
-    :func:`~erkit.hierarchy.evaluate_batch` (its arrays kept)."""
-    alternatives = model.alternatives
-    if isinstance(per_alternative, BatchEvaluation):
-        paths = per_alternative.paths
-        assigned, unassigned = per_alternative.assigned, per_alternative.unassigned
-        # Siblings sharing a name give one path twice.  Keep what a dict keyed
-        # by path keeps, as evaluate() does: the first position, the last row.
-        rows = {path: i for i, path in enumerate(paths)}
-        if len(rows) < len(paths):
-            paths, keep = tuple(rows), list(rows.values())
-            assigned, unassigned = assigned[keep], unassigned[keep]
-    else:
-        results = [per_alternative[alt] for alt in alternatives]
-        paths = tuple(results[0])
-        if any(r.keys() != results[0].keys() for r in results):
-            raise ValueError("every alternative needs results for the same nodes")
-        if paths[-1] != model.root.name:
-            raise ValueError("node results must list the root last")
-        # Stacked alternative-major, then viewed node-major like a batch.
-        assigned = np.array([[r[p].assigned for p in paths] for r in results]).transpose(1, 0, 2)
-        unassigned = np.array([[r[p].unassigned for p in paths] for r in results]).T
+    """Bundle one scheme's :func:`~erkit.hierarchy.evaluate_batch` arrays with
+    its :func:`~erkit.decision.decide` summary and, optionally, its traces."""
+    paths, assigned, unassigned = batch.paths, batch.assigned, batch.unassigned
+    # Siblings sharing a name give one path twice.  Keep what a dict keyed
+    # by path keeps, as evaluate() does: the first position, the last row.
+    rows = {path: i for i, path in enumerate(paths)}
+    if len(rows) < len(paths):
+        paths, keep = tuple(rows), list(rows.values())
+        assigned, unassigned = assigned[keep], unassigned[keep]
     return ResultDocument(
-        algorithm=algorithm,
-        frame=model.frame.grades,
-        alternatives=alternatives,
+        algorithm=batch.algorithm,
+        frame=batch.frame.grades,
+        alternatives=batch.alternatives,
         paths=paths,
         assigned=assigned,
         unassigned=unassigned,
-        redistributed={a: dict(r) for a, r in redistributed.items()},
-        utilities=dict(utilities),
-        ranking=tuple(ranking),
+        redistributed={a: dict(r) for a, r in ranked.degrees.items()},
+        utilities=dict(ranked.utilities),
+        ranking=tuple(ranked.ranking),
         traces={a: dict(t) for a, t in traces.items()} if traces is not None else None,
     )
 

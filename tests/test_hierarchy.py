@@ -9,10 +9,12 @@ from erkit import (
     CompleteConflictError,
     ErkitError,
     EvaluationModel,
+    FrameMismatchError,
     UtilityFunction,
     WeightedAssessment,
     derive_reliabilities,
     evaluate,
+    evaluate_batch,
     motorcycle_model,
     oer_aggregate,
     validate,
@@ -261,3 +263,89 @@ class TestEvaluate:
         results, traces = evaluate(model, "e2r", "alt", with_trace=True)
         assert set(traces) == {"root"}
         assert len(traces["root"].steps) == 2
+
+
+class TestRuntimeGuards:
+    """What ``evaluate`` and ``evaluate_batch`` reject in a model nobody validated."""
+
+    @staticmethod
+    def run(kind, model, algorithm):
+        if kind == "batch":
+            return evaluate_batch(model, algorithm)
+        return [evaluate(model, algorithm, alt) for alt in model.alternatives]
+
+    @staticmethod
+    def model(second_leaf, alternatives=("alt",)):
+        a = Assessment.from_degrees(H5, {"g3": 0.6, "g4": 0.3})
+        first = leaf("a", 0.8, 0.5, {alt: a for alt in alternatives})
+        return EvaluationModel(H5, alternatives, AttributeNode("root", children=(first, second_leaf)))
+
+    @pytest.mark.parametrize("kind", ["single", "batch"])
+    def test_missing_assessment_names_the_leaf_and_the_alternative(self, kind):
+        b = Assessment.from_degrees(H5, {"g2": 1.0})
+        model = self.model(leaf("b", 0.6, 0.5, {"alt": b}), alternatives=("alt", "other"))
+        with pytest.raises(ErkitError, match="'root/b' has no assessment for 'other'"):
+            self.run(kind, model, "e2r")
+
+    @pytest.mark.parametrize("kind", ["single", "batch"])
+    def test_assessment_over_another_frame(self, kind):
+        b = Assessment.from_degrees(frame_of(3), {"g2": 1.0})
+        model = self.model(leaf("b", 0.6, 0.5, {"alt": b}))
+        with pytest.raises(FrameMismatchError, match="'root/b'"):
+            self.run(kind, model, "e2r")
+
+    @pytest.mark.parametrize("kind", ["single", "batch"])
+    def test_e2r_needs_every_child_importance(self, kind):
+        b = Assessment.from_degrees(H5, {"g2": 1.0})
+        model = self.model(leaf("b", 0.6, None, {"alt": b}))
+        with pytest.raises(ErkitError, match="'root/b' has no importance"):
+            self.run(kind, model, "e2r")
+
+    @pytest.mark.parametrize("kind", ["single", "batch"])
+    @pytest.mark.parametrize("algorithm", ["oer", "mer", "e2r"])
+    def test_factor_out_of_range(self, kind, algorithm):
+        b = Assessment.from_degrees(H5, {"g2": 1.0})
+        model = self.model(AttributeNode("b", reliability=1.5, importance=-0.5, weight=1.5,
+                                         assessments={"alt": b}))
+        with pytest.raises(ValueError, match=r"'root/b': factor .* outside \[0, 1\]"):
+            self.run(kind, model, algorithm)
+
+
+def deep_chain(levels, last_degree=1.0):
+    """A chain ``levels`` general nodes deep, built in code; the deepest leaf
+    assesses ``last_degree`` on the top grade."""
+    shallow = Assessment.from_degrees(H5, {"g2": 0.7})
+    node = leaf("y", 0.9, 0.5, {"alt": Assessment.from_degrees(H5, {"g4": last_degree})})
+    for _ in range(levels):
+        node = AttributeNode("n", children=(leaf("x", 0.8, 0.5, {"alt": shallow}), node),
+                             importance=0.5)
+    return node
+
+
+class TestNodeEquality:
+    def test_a_3000_level_chain_equals_a_rebuilt_copy(self):
+        assert (deep_chain(3000) == deep_chain(3000)) is True
+        model = EvaluationModel(H5, ("alt",), deep_chain(3000))
+        assert (model == EvaluationModel(H5, ("alt",), deep_chain(3000))) is True
+
+    def test_one_deep_leaf_changed_makes_them_differ(self):
+        assert (deep_chain(3000) == deep_chain(3000, last_degree=0.5)) is False
+        assert (deep_chain(3000) != deep_chain(3000, last_degree=0.5)) is True
+
+    def test_fields_and_shape_are_compared(self):
+        a = Assessment.from_degrees(H5, {"g2": 1.0})
+        base = leaf("x", 0.8, 0.5, {"alt": a})
+        assert base == leaf("x", 0.8, 0.5, {"alt": Assessment.from_degrees(H5, {"g2": 1.0})})
+        for other in (
+            leaf("z", 0.8, 0.5, {"alt": a}),
+            leaf("x", 0.7, 0.5, {"alt": a}),
+            leaf("x", 0.8, 0.4, {"alt": a}),
+            AttributeNode("x", reliability=0.8, importance=0.5, weight=0.3, assessments={"alt": a}),
+            leaf("x", 0.8, 0.5, {}),
+            AttributeNode("x", children=(base,), reliability=0.8, importance=0.5),
+        ):
+            assert base != other
+        parent = AttributeNode("p", children=(base, base))
+        assert parent != AttributeNode("p", children=(base,))
+        assert parent == AttributeNode("p", children=(base, base))
+        assert base != "x"
