@@ -44,7 +44,7 @@ from .dst import GradeFrame
 from .errors import ErkitError, FrameMismatchError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # nodes hold a dict, so they stay unhashable
 class AttributeNode:
     """One attribute in the evaluation hierarchy.
 
@@ -82,6 +82,25 @@ class AttributeNode:
                 return False
             stack.extend(zip(a.children, b.children))
         return True
+
+    def __repr__(self):
+        """The dataclass repr, written along one iterative traversal."""
+        parts = []
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, str):
+                parts.append(node)
+                continue
+            parts.append(f"{type(node).__qualname__}(name={node.name!r}, children=(")
+            stack.append(
+                ("," if len(node.children) == 1 else "")
+                + f"), reliability={node.reliability!r}, importance={node.importance!r}, "
+                f"weight={node.weight!r}, assessments={node.assessments!r})"
+            )
+            for i, child in enumerate(reversed(node.children)):
+                stack.extend((", ", child) if i else (child,))
+        return "".join(parts)
 
     @property
     def is_basic(self) -> bool:

@@ -11,6 +11,7 @@ from erkit import (
     check_axiom,
     generate_axiom_instance,
 )
+from erkit import axioms
 from erkit.axioms import AXIOMS
 
 from randgen import frame_of
@@ -143,3 +144,98 @@ class TestAudit:
     def test_iterations_must_be_positive(self):
         with pytest.raises(ValueError):
             audit_axioms("mer", iterations=0)
+
+
+SCHEMES = ("oer", "mer", "e2r")
+SIZES = [
+    (n_grades, n_items)
+    for n_grades in range(2, axioms.MAX_GRADES + 1)
+    for n_items in range(2, axioms.MAX_ITEMS + 1)
+]
+
+
+def _serialized(items):
+    return [
+        {
+            "degrees": item.assessment.belief_degrees,
+            "weight": item.weight,
+            "reliability": item.reliability,
+            "importance": item.importance,
+        }
+        for item in items
+    ]
+
+
+class TestBatchAgainstWrappers:
+    @pytest.mark.parametrize("axiom", AXIOMS)
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_each_batch_verdict_equals_check_axiom(self, scheme, axiom):
+        for seed in (0, 1, 2):
+            rng = np.random.default_rng(seed)
+            for n_grades, n_items in SIZES:
+                group = axioms._draw(axiom, rng, 6, n_grades, n_items, scheme != "oer")
+                holds, detail = axioms._verdicts(axiom, scheme, *group)
+                for j in range(6):
+                    verdict = check_axiom(axiom, scheme, axioms._items(*group, j))
+                    assert (verdict.holds, verdict.detail) == (holds[j], detail(j))
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_audit_equals_a_per_instance_walk_in_draw_order(self, scheme):
+        iterations = 90
+        for seed in (3, 4, 5):
+            report = audit_axioms(scheme, iterations=iterations, seed=seed)
+            rng = np.random.default_rng(seed)
+            for axiom in AXIOMS:
+                instances = {}
+                for index, group in axioms._groups(axiom, rng, iterations, scheme != "oer"):
+                    for j, i in enumerate(index):
+                        instances[int(i)] = axioms._items(*group, j)
+                walk = [check_axiom(axiom, scheme, instances[i]) for i in range(iterations)]
+                failing = [i for i, verdict in enumerate(walk) if not verdict.holds]
+                entry = report[axiom]
+                assert (entry.runs, entry.holds, entry.violations) == (
+                    iterations, iterations - len(failing), len(failing)
+                )
+                expected = None
+                if failing:
+                    expected = {
+                        "instance": _serialized(instances[failing[0]]),
+                        "detail": walk[failing[0]].detail,
+                    }
+                assert entry.first_counterexample == expected
+
+    def test_audit_makes_no_per_instance_wrapper_call(self, monkeypatch):
+        def per_instance(*args, **kwargs):
+            raise AssertionError("per-instance call")
+
+        monkeypatch.setattr(axioms, "generate_axiom_instance", per_instance)
+        monkeypatch.setattr(axioms, "check_axiom", per_instance)
+        for scheme in SCHEMES:
+            monkeypatch.setitem(axioms.AGGREGATORS, scheme, per_instance)
+        report = audit_axioms("oer", iterations=40, seed=1)
+        assert report["consensus"].violations == 40
+
+
+class TestBulkDraws:
+    @pytest.mark.parametrize("axiom", AXIOMS)
+    @pytest.mark.parametrize("normalized", [False, True])
+    def test_every_instance_satisfies_the_hypothesis(self, axiom, normalized):
+        rng = np.random.default_rng(11)
+        for n_grades, n_items in SIZES:
+            group = axioms._draw(axiom, rng, 20, n_grades, n_items, normalized)
+            for j in range(20):
+                # raises AxiomInapplicableError off the hypothesis and, under
+                # mer, WeightSumError for weights that do not sum to one
+                check_axiom(axiom, "mer" if normalized else "oer", axioms._items(*group, j))
+
+    def test_free_weight_incompleteness_pins_complete_items_at_full_weight(self):
+        group = axioms._draw("incompleteness", np.random.default_rng(0), 200, 4, 3, False)
+        pinned = sum(
+            any(
+                item.weight == 1.0 and item.assessment.is_complete
+                for item in axioms._items(*group, j)
+            )
+            for j in range(200)
+        )
+        # pinned with probability 1/2 when some item is complete (3/4 for three items)
+        assert 50 <= pinned <= 100

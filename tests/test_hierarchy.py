@@ -349,3 +349,33 @@ class TestNodeEquality:
         assert parent != AttributeNode("p", children=(base,))
         assert parent == AttributeNode("p", children=(base, base))
         assert base != "x"
+
+
+class TestNodeHashAndRepr:
+    def test_nodes_are_honestly_unhashable(self):
+        from collections.abc import Hashable
+
+        node = leaf("x", 0.8, 0.5, {"alt": Assessment.from_degrees(H5, {"g2": 1.0})})
+        assert not isinstance(node, Hashable)
+        with pytest.raises(TypeError):
+            hash(node)
+
+    def test_repr_is_the_dataclass_repr(self):
+        a = Assessment.from_degrees(H5, {"g2": 1.0})
+        single = AttributeNode("b", children=(AttributeNode("c"),))
+        root = AttributeNode("r", children=(leaf("a", 0.5, None, {"x": a}), single), weight=0.2)
+        empty = "reliability=None, importance=None, weight=None, assessments={}"
+        assert repr(root) == (
+            "AttributeNode(name='r', children=("
+            f"AttributeNode(name='a', children=(), reliability=0.5, importance=None, "
+            f"weight=None, assessments={{'x': {a!r}}}), "
+            f"AttributeNode(name='b', children=(AttributeNode(name='c', children=(), {empty}),), "
+            f"{empty})), reliability=None, importance=None, weight=0.2, assessments={{}})"
+        )
+
+    def test_repr_of_a_3000_level_chain(self):
+        text = repr(deep_chain(3000))
+        assert text.startswith("AttributeNode(name='n', children=(AttributeNode(name='x'")
+        assert text.count("AttributeNode(name='n'") == 3000
+        assert text.count("AttributeNode(name='y'") == 1
+        assert repr(EvaluationModel(H5, ("alt",), deep_chain(3000))).count("AttributeNode(") == 6001
