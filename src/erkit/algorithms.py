@@ -136,10 +136,6 @@ class CombinedAssessment:
     def degree(self, grade: str) -> float:
         return self.assigned[self.frame.index(grade)]
 
-    def to_assessment(self) -> Assessment:
-        """Recycle the combined result as an (incomplete) assessment."""
-        return Assessment(self.frame, self.assigned)
-
 
 @dataclass(frozen=True)
 class TraceStep:
@@ -315,12 +311,16 @@ AGGREGATORS = {
 }
 
 
+def _scheme(algorithm: str):
+    """The flat aggregator named ``algorithm``, looked up in ``AGGREGATORS`` at call time."""
+    try:
+        return AGGREGATORS[algorithm]
+    except KeyError:
+        raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {sorted(AGGREGATORS)}") from None
+
+
 def aggregate(
     algorithm: str, items: Sequence[WeightedAssessment], with_trace: bool = False
 ):
     """Dispatch to a flat aggregator by its identifier."""
-    try:
-        fn = AGGREGATORS[algorithm]
-    except KeyError:
-        raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {sorted(AGGREGATORS)}") from None
-    return fn(items, with_trace=with_trace)
+    return _scheme(algorithm)(items, with_trace=with_trace)

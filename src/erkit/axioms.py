@@ -32,11 +32,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from operator import add
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .algorithms import AGGREGATORS, Assessment, WeightedAssessment, _aggregate, _common_frame
+from .algorithms import AGGREGATORS  # noqa: F401  (re-exported: the scheme table check_axiom reads)
+from .algorithms import Assessment, WeightedAssessment, _aggregate, _common_frame, _scheme
 from .dst import GradeFrame
 from .errors import AxiomInapplicableError
 
@@ -57,15 +58,6 @@ class AxiomVerdict:
     axiom: str
     holds: bool
     detail: str
-
-
-def _resolve(aggregator: str) -> Callable:
-    try:
-        return AGGREGATORS[aggregator]
-    except KeyError:
-        raise ValueError(
-            f"unknown aggregator {aggregator!r}; expected one of {sorted(AGGREGATORS)}"
-        ) from None
 
 
 def _items(degrees: np.ndarray, factors: np.ndarray, j: int) -> list[WeightedAssessment]:
@@ -170,7 +162,7 @@ def check_axiom(
         raise ValueError(f"unknown axiom {axiom!r}; expected one of {AXIOMS}")
     if not items:
         raise ValueError("an axiom instance needs at least one assessment")
-    fn = _resolve(aggregator)
+    fn = _scheme(aggregator)
     frame = _common_frame(items)
     degrees = np.array([item.assessment.degrees for item in items])
     complete = [item.assessment.is_complete for item in items]
@@ -276,7 +268,7 @@ def audit_axioms(
     """
     if iterations < 1:
         raise ValueError("the audit needs at least one iteration")
-    _resolve(algorithm)
+    _scheme(algorithm)
     normalized = algorithm in ("mer", "e2r")
     rng = np.random.default_rng(seed)
     report: dict[str, AxiomAuditEntry] = {}

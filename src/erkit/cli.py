@@ -23,14 +23,7 @@ from . import __version__
 from .algorithms import AGGREGATORS
 from .axioms import audit_axioms
 from .decision import decide
-from .errors import (
-    CompleteConflictError,
-    DegenerateMassError,
-    ErkitError,
-    ModelFormatError,
-    ModelValidationError,
-    WeightSumError,
-)
+from .errors import ErkitError, ModelFormatError, ModelValidationError
 from .hierarchy import (
     CompiledModel,
     EvaluationModel,
@@ -270,13 +263,10 @@ def main(argv: list[str] | None = None) -> int:
     except (ModelFormatError, ModelValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (CompleteConflictError, DegenerateMassError, WeightSumError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except ErkitError as exc:
+    except ErkitError as exc:  # any other toolkit error: conflict, degenerate mass, weight sum
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -13,8 +13,7 @@ def motorcycle_model() -> EvaluationModel:
     attributes over a five-grade scale, each attribute annotated with an
     evaluation reliability and a sibling-normalized relative importance.
     """
-    text = resources.files(__package__).joinpath("data/motorcycle.json").read_text("utf-8")
-    return load_model(text)
+    return load_model(motorcycle_json())
 
 
 def motorcycle_json() -> str:

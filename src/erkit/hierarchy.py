@@ -30,7 +30,6 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from .algorithms import (
-    AGGREGATORS,
     AggregationTrace,
     Assessment,
     CombinedAssessment,
@@ -38,6 +37,7 @@ from .algorithms import (
     WEIGHT_SUM_TOL,
     _aggregate,
     _check_weight_sum,
+    _scheme,
 )
 from .decision import UtilityFunction
 from .dst import GradeFrame
@@ -203,6 +203,8 @@ def validate(model: EvaluationModel) -> list[Diagnostic]:
     problems: list[Diagnostic] = []
     declared = set(model.alternatives)
     for path, node in model.walk():
+        if "/" in node.name:
+            problems.append(Diagnostic(path, "node name contains '/', the path separator"))
         for name in ("reliability", "importance", "weight"):
             value = getattr(node, name)
             if value is not None and not 0.0 <= value <= 1.0:
@@ -324,8 +326,7 @@ class CompiledModel:
 
 
 def _compiled(model: EvaluationModel | CompiledModel, algorithm: str) -> CompiledModel:
-    if algorithm not in AGGREGATORS:
-        raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {tuple(AGGREGATORS)}")
+    _scheme(algorithm)
     return model if isinstance(model, CompiledModel) else CompiledModel(model)
 
 

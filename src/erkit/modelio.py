@@ -30,6 +30,7 @@ reproduces the numbers bit for bit.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, replace
@@ -53,15 +54,18 @@ _MODEL_KEYS = {"schema", "frame", "utilities", "alternatives", "tree"}
 _NODE_KEYS = {"name", "reliability", "importance", "weight", "children", "assessments"}
 
 
-def _parse_json(text: str, where: str):
-    """JSON text as Python values; bad syntax, non-finite numbers and deep nesting raise."""
+def _parse_json(text: str | bytes, where: str):
+    """JSON text, or UTF-8 bytes, as Python values; bad syntax or encoding, integer
+    literals too long to convert, non-finite constants and deep nesting raise."""
 
     def reject_constant(name: str):
         raise ModelFormatError(f"{where}: non-finite number {name} is not allowed")
 
     try:
+        if isinstance(text, bytes):
+            text = text.decode("utf-8")
         return json.loads(text, parse_constant=reject_constant)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # json.JSONDecodeError, UnicodeDecodeError, the int digit limit
         raise ModelFormatError(f"{where}: not valid JSON: {exc}") from exc
     except RecursionError:
         raise ModelFormatError(
@@ -85,10 +89,17 @@ def _require(mapping: Mapping, key: str, where: str):
 
 
 def _number(value, what: str, where: str) -> float:
-    """A JSON number as a float; booleans and numeric strings are rejected."""
+    """A JSON number as a finite float; booleans, numeric strings and numbers
+    beyond the double range (``1e400`` parses as infinity) are rejected."""
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ModelFormatError(f"{where}: {what} must be a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ModelFormatError(f"{where}: {what} must be a finite double, got {value!r}")
+    return number
 
 
 def _parse_factor(raw: Mapping, key: str, where: str) -> float | None:
@@ -98,7 +109,11 @@ def _parse_factor(raw: Mapping, key: str, where: str) -> float | None:
     return _number(value, key, where)
 
 
-def _parse_node(raw: Mapping, frame: GradeFrame, where: str, strict: bool) -> AttributeNode:
+def _parse_node(
+    raw: Mapping, frame: GradeFrame, where: str, strict: bool, renormalize: bool
+) -> AttributeNode:
+    """One node and its subtree; with ``renormalize`` each set of siblings'
+    importances is rescaled to sum to one as it is parsed."""
     if not isinstance(raw, Mapping):
         raise ModelFormatError(f"{where}: node must be an object")
     _reject_unknown(raw, _NODE_KEYS, where, strict)
@@ -114,7 +129,11 @@ def _parse_node(raw: Mapping, frame: GradeFrame, where: str, strict: bool) -> At
         raise ModelFormatError(f"{here}: assessments must be an object")
     if children_raw and assessments_raw:
         raise ModelFormatError(f"{here}: a node cannot have both children and assessments")
-    children = tuple(_parse_node(c, frame, here, strict) for c in children_raw)
+    children = tuple(_parse_node(c, frame, here, strict, renormalize) for c in children_raw)
+    if renormalize:
+        total = sum(c.importance or 0.0 for c in children)
+        if total > 0.0:
+            children = tuple(replace(c, importance=(c.importance or 0.0) / total) for c in children)
     assessments = {}
     for alt, degrees in assessments_raw.items():
         if not isinstance(degrees, Mapping):
@@ -135,18 +154,6 @@ def _parse_node(raw: Mapping, frame: GradeFrame, where: str, strict: bool) -> At
     )
 
 
-def _renormalize_importances(node: AttributeNode) -> AttributeNode:
-    if node.is_basic:
-        return node
-    children = tuple(_renormalize_importances(c) for c in node.children)
-    total = sum(c.importance or 0.0 for c in children)
-    if total > 0.0:
-        children = tuple(
-            replace(c, importance=(c.importance or 0.0) / total) for c in children
-        )
-    return replace(node, children=children)
-
-
 def load_model(
     source: str | Path,
     strict: bool = False,
@@ -156,21 +163,19 @@ def load_model(
     """Load an evaluation model from a file path or raw JSON text.
 
     A string starting with ``{`` is treated as document text, anything else
-    as a path.  Parse and schema problems raise
+    as a path to a UTF-8 file.  Parse and schema problems raise
     :class:`~erkit.errors.ModelFormatError`; with ``check`` enabled (the
     default) semantic problems raise
     :class:`~erkit.errors.ModelValidationError` carrying all diagnostics.
     Sibling importances are verified, not rescaled, unless
-    ``renormalize_importances`` is set.
+    ``renormalize_importances`` is set: then the walk that parses a general
+    node's children divides their importances by the siblings' total (left
+    as they are when no sibling has a positive importance).
     """
-    if isinstance(source, Path):
-        text = source.read_text(encoding="utf-8")
-        where = str(source)
-    elif source.lstrip().startswith("{"):
-        text, where = source, "<text>"
+    if isinstance(source, Path) or not source.lstrip().startswith("{"):
+        text, where = Path(source).read_bytes(), str(source)
     else:
-        text = Path(source).read_text(encoding="utf-8")
-        where = source
+        text, where = source, "<text>"
     doc = _parse_json(text, where)
     if not isinstance(doc, Mapping):
         raise ModelFormatError(f"{where}: top level must be an object")
@@ -179,17 +184,11 @@ def load_model(
     if schema != MODEL_SCHEMA:
         raise ModelFormatError(f"{where}: unsupported schema {schema!r}")
 
-    frame_raw = _require(doc, "frame", where)
-    if not isinstance(frame_raw, list) or not all(isinstance(g, str) for g in frame_raw):
-        raise ModelFormatError(f"{where}: frame must be a list of grade strings")
     try:
-        frame = GradeFrame(frame_raw)
+        frame = GradeFrame(_require_strings(doc, "frame", where))
     except ValueError as exc:
         raise ModelFormatError(f"{where}: bad frame: {exc}") from exc
-
-    alternatives = _require(doc, "alternatives", where)
-    if not isinstance(alternatives, list) or not all(isinstance(a, str) for a in alternatives):
-        raise ModelFormatError(f"{where}: alternatives must be a list of strings")
+    alternatives = _require_strings(doc, "alternatives", where)
 
     utilities_raw = doc.get("utilities")
     if utilities_raw is None:
@@ -204,11 +203,9 @@ def load_model(
         except ValueError as exc:
             raise ModelFormatError(f"{where}: bad utilities: {exc}") from exc
 
-    root = _parse_node(_require(doc, "tree", where), frame, where, strict)
-    if renormalize_importances:
-        root = _renormalize_importances(root)
+    root = _parse_node(_require(doc, "tree", where), frame, where, strict, renormalize_importances)
     try:
-        model = EvaluationModel(frame, tuple(alternatives), root, utility)
+        model = EvaluationModel(frame, alternatives, root, utility)
     except ValueError as exc:
         raise ModelFormatError(f"{where}: {exc}") from exc
     if check:
@@ -553,8 +550,15 @@ def _document_from_json(raw, where: str) -> ResultDocument:
         }
         utilities[alt] = _number(_require(entry, "utility", here), "utility", here)
 
+    try:
+        stacked = np.array(values, dtype=float)
+        finite = np.isfinite(stacked).all()
+    except OverflowError:  # an integer beyond the double range
+        finite = False
+    if not finite:
+        raise ModelFormatError(f"{where}: node degrees must be finite doubles")
     grades = len(frame)
-    stacked = np.array(values, dtype=float).reshape(len(alternatives), len(paths), grades + 1)
+    stacked = stacked.reshape(len(alternatives), len(paths), grades + 1)
     return ResultDocument(
         algorithm=algorithm,
         frame=frame,

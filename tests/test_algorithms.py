@@ -344,3 +344,32 @@ class TestTraces:
         scale = 1.0 / (1.0 - last.omega_mass)
         for a, b in zip(result.assigned, last.singletons):
             assert a == pytest.approx(b * scale, abs=1e-12)
+
+
+class TestUnknownScheme:
+    """Every entry point that takes a scheme name rejects an unknown one in the same words."""
+
+    def test_one_error_for_every_entry_point(self):
+        from erkit import aggregate, audit_axioms, check_axiom, evaluate, evaluate_batch
+        from erkit import motorcycle_model
+
+        items = random_items(np.random.default_rng(3), n_items=2)
+        model = motorcycle_model()
+        calls = [
+            lambda: aggregate("xxx", items),
+            lambda: evaluate(model, "xxx", "Honda"),
+            lambda: evaluate_batch(model, "xxx"),
+            lambda: check_axiom("consensus", "xxx", items),
+            lambda: audit_axioms("xxx", iterations=1),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value) == "unknown algorithm 'xxx'; expected one of ['e2r', 'mer', 'oer']"
+
+    def test_lookup_reads_the_table_at_call_time(self, monkeypatch):
+        from erkit import AGGREGATORS, aggregate
+
+        items = random_items(np.random.default_rng(3), n_items=2)
+        monkeypatch.setitem(AGGREGATORS, "oer", lambda items, with_trace=False: "patched")
+        assert aggregate("oer", items) == "patched"

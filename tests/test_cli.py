@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from erkit import motorcycle_json
+from erkit import cli, errors, motorcycle_json
 from erkit.cli import EXIT_IO, EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, main
 
 
@@ -276,3 +276,93 @@ def test_motorcycle_reports_match_the_golden_files(capsys, model_file, argv, gol
     code, out, err = run(capsys, *argv, model_file)
     assert (code, err) == (EXIT_OK, "")
     assert out == (GOLDEN / golden).read_text(encoding="utf-8")
+
+
+def _slash_document():
+    """A root with a leaf "x/y" and a node "x" holding a leaf "y": both are path root/x/y."""
+
+    def leaf(name):
+        return {"name": name, "reliability": 0.9, "importance": 0.5 if name == "x/y" else 1.0,
+                "assessments": {"a": {"h": 0.6}}}
+
+    doc = _toy_document()
+    doc["tree"]["children"] = [
+        leaf("x/y"),
+        {"name": "x", "reliability": 0.9, "importance": 0.5, "children": [leaf("y")]},
+    ]
+    return doc
+
+
+class TestInputsTheLoaderRejects:
+    def _run_file(self, capsys, tmp_path, content: bytes):
+        path = tmp_path / "model.json"
+        path.write_bytes(content)
+        code, out, err = run(capsys, "evaluate", "--algo", "all", "--format", "json", str(path))
+        assert "Traceback" not in err
+        return code, out, err
+
+    @pytest.mark.parametrize(
+        "number",
+        [
+            pytest.param("9" * 400, id="400-digit-integer"),
+            pytest.param("-" + "9" * 400, id="negative-400-digit-integer"),
+            pytest.param("1e400", id="1e400"),
+        ],
+    )
+    def test_number_beyond_the_double_range_is_validation_failure(self, capsys, tmp_path, number):
+        text = json.dumps(_toy_document()).replace('"h": 0.6', f'"h": {number}')
+        assert number in text
+        code, out, err = self._run_file(capsys, tmp_path, text.encode())
+        assert (code, out) == (EXIT_VALIDATION, "")
+        assert err.startswith("error:") and "belief degree must be a finite double" in err
+
+    def test_integer_literal_beyond_the_conversion_limit_is_validation_failure(self, capsys, tmp_path):
+        text = json.dumps(_toy_document()).replace('"h": 0.6', '"h": ' + "1" * 5000)
+        code, _, err = self._run_file(capsys, tmp_path, text.encode())
+        assert code == EXIT_VALIDATION
+        assert err.startswith("error:") and "not valid JSON" in err
+
+    def test_file_that_is_not_utf8_is_validation_failure(self, capsys, tmp_path):
+        content = json.dumps(_toy_document()).replace('"a"', '"\xe9"').encode("latin-1")
+        code, _, err = self._run_file(capsys, tmp_path, content)
+        assert code == EXIT_VALIDATION
+        assert err.startswith("error:") and "not valid JSON" in err
+
+    def test_node_name_with_a_slash_is_validation_failure(self, capsys, tmp_path):
+        doc = _slash_document()
+        code, out, err = self._run_file(capsys, tmp_path, json.dumps(doc).encode())
+        assert (code, out) == (EXIT_VALIDATION, "")
+        assert err == (
+            "error: model validation failed: root/x/y: node name contains '/', "
+            "the path separator\n"
+        )
+        doc["tree"]["children"][0]["name"] = "x-y"
+        code, out, _ = self._run_file(capsys, tmp_path, json.dumps(doc).encode())
+        assert code == EXIT_OK
+        nodes = json.loads(out)["documents"][0]["results"]["a"]["nodes"]
+        assert list(nodes) == ["root/x-y", "root/x/y", "root/x", "root"]
+
+
+class TestExitCodeMapping:
+    @pytest.mark.parametrize(
+        "error, expected",
+        [
+            (errors.CompleteConflictError("conflict"), EXIT_RUNTIME),
+            (errors.DegenerateMassError("degenerate"), EXIT_RUNTIME),
+            (errors.WeightSumError("weights"), EXIT_RUNTIME),
+            (errors.FrameMismatchError("frames"), EXIT_RUNTIME),
+            (errors.ErkitError("other"), EXIT_RUNTIME),
+            (errors.ModelFormatError("format"), EXIT_VALIDATION),
+            (errors.ModelValidationError(["diagnostic"]), EXIT_VALIDATION),
+            (PermissionError("denied"), EXIT_IO),
+        ],
+        ids=lambda value: type(value).__name__ if isinstance(value, Exception) else str(value),
+    )
+    def test_each_error_maps_to_its_exit_code(self, capsys, monkeypatch, model_file, error, expected):
+        def fail(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(cli, "evaluate_batch", fail)
+        code, out, err = run(capsys, "evaluate", model_file)
+        assert (code, out) == (expected, "")
+        assert err == f"error: {error}\n"

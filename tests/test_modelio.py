@@ -6,11 +6,15 @@ from dataclasses import replace
 import pytest
 
 from erkit import (
+    Assessment,
+    GradeFrame,
     ModelFormatError,
     ModelValidationError,
+    UtilityFunction,
     evaluate,
     load_model,
     load_results,
+    motorcycle_json,
     motorcycle_model,
     save_model,
     save_results,
@@ -281,3 +285,274 @@ class TestMalformedResultDocuments:
         assert list(document.node_results) == ["a", "b"]
         with pytest.raises(TypeError):
             document.node_results["a"]["root"] = {}
+
+
+def _with_raw_number(payload, path, number_text: str) -> str:
+    """``payload`` as JSON text with the value at key ``path`` written as ``number_text``.
+
+    ``json.dumps`` writes no ``1e400``, so the value goes in as a
+    placeholder string that is then replaced.
+    """
+    *parents, key = path
+    target = payload
+    for step in parents:
+        target = target[step]
+    target[key] = "RAW-NUMBER"
+    return json.dumps(payload).replace('"RAW-NUMBER"', number_text)
+
+
+# Number literals beyond the double range: float() of the integers raises
+# OverflowError, and 1e400 parses as infinity.
+BEYOND_DOUBLES = [
+    pytest.param("9" * 400, id="400-digit-integer"),
+    pytest.param("-" + "9" * 400, id="negative-400-digit-integer"),
+    pytest.param("1e400", id="1e400"),
+]
+
+
+class TestNumbersBeyondTheDoubleRange:
+    @pytest.mark.parametrize("number", BEYOND_DOUBLES)
+    @pytest.mark.parametrize(
+        "where, what",
+        [
+            pytest.param(("tree", "children", 0, "assessments", "a", "good"), "belief degree", id="degree"),
+            pytest.param(("tree", "children", 1, "reliability"), "reliability", id="reliability"),
+            pytest.param(("utilities", "good"), "utility of 'good'", id="utility"),
+        ],
+    )
+    def test_rejected_in_models(self, number, where, what):
+        payload = {**json.loads(doc()), "utilities": {"bad": 0.0, "good": 1.0}}
+        text = _with_raw_number(payload, where, number)
+        with pytest.raises(ModelFormatError, match=f"{what} must be a finite double, got "):
+            load_model(text)
+
+    @pytest.mark.parametrize("number", BEYOND_DOUBLES)
+    @pytest.mark.parametrize(
+        "where, message",
+        [
+            pytest.param(
+                ("results", "a", "nodes", "root", "assigned", "good"),
+                "node degrees must be finite doubles",
+                id="node-degree",
+            ),
+            pytest.param(
+                ("results", "b", "nodes", "root/x", "unassigned"),
+                "node degrees must be finite doubles",
+                id="node-unassigned",
+            ),
+            pytest.param(("results", "b", "utility"), "utility must be a finite double", id="utility"),
+            pytest.param(
+                ("results", "a", "redistributed", "bad"),
+                "redistributed degree must be a finite double",
+                id="redistributed-degree",
+            ),
+        ],
+    )
+    def test_rejected_in_result_documents(self, number, where, message):
+        text = _with_raw_number(_saved_minimal_payload(), ("documents", 0, *where), number)
+        with pytest.raises(ModelFormatError, match=f"result document 0.*{message}"):
+            load_results(text)
+
+    def test_integer_literals_beyond_the_conversion_limit(self):
+        text = doc().replace('"good": 0.7', '"good": ' + "1" * 5000, 1)
+        with pytest.raises(ModelFormatError, match="not valid JSON"):
+            load_model(text)
+
+
+def _mutated(mutate):
+    """MINIMAL as a fresh payload, changed by ``mutate``."""
+    payload = json.loads(doc())
+    mutate(payload)
+    return payload
+
+
+class TestModelFormatErrors:
+    """Each schema rule of the loader, with the message that names it."""
+
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            pytest.param([MINIMAL], "top level must be an object", id="top-level-list"),
+            pytest.param(
+                _mutated(lambda p: p.update(schema="er-model/9")),
+                "unsupported schema 'er-model/9'",
+                id="unsupported-schema",
+            ),
+            pytest.param(
+                _mutated(lambda p: p.update(frame=["only"])),
+                "bad frame: a frame needs at least two grades",
+                id="one-grade-frame",
+            ),
+            pytest.param(
+                _mutated(lambda p: p.update(frame="bg")),
+                "frame must be a list of strings",
+                id="frame-string",
+            ),
+            pytest.param(
+                _mutated(lambda p: p.update(alternatives=["a", 2])),
+                "alternatives must be a list of strings",
+                id="non-string-alternative",
+            ),
+            pytest.param(
+                _mutated(lambda p: p.update(utilities={"bad": 0.0})),
+                r"bad utilities: utilities missing for grades \['good'\]",
+                id="utility-missing",
+            ),
+            pytest.param(
+                _mutated(lambda p: p.update(utilities={"bad": 0.0, "good": 1.5})),
+                r"bad utilities: utility 1.5 outside \[0, 1\]",
+                id="utility-above-one",
+            ),
+            pytest.param(
+                _mutated(lambda p: p.update(alternatives=[])),
+                "a model needs at least one alternative",
+                id="no-alternatives",
+            ),
+            pytest.param(
+                _mutated(lambda p: p.update(alternatives=["a", "a"])),
+                "alternative ids must be unique",
+                id="repeated-alternative",
+            ),
+            pytest.param(
+                _mutated(lambda p: p.update(tree=5)), "node must be an object", id="tree-number"
+            ),
+            pytest.param(
+                _mutated(lambda p: p["tree"]["children"].append("z")),
+                "/root: node must be an object",
+                id="child-string",
+            ),
+            pytest.param(
+                _mutated(lambda p: p["tree"]["children"][0].update(name="")),
+                "node name must be a non-empty string",
+                id="empty-name",
+            ),
+            pytest.param(
+                _mutated(lambda p: p["tree"].update(assessments={"a": {"good": 1.0}})),
+                "/root: a node cannot have both children and assessments",
+                id="children-and-assessments",
+            ),
+            pytest.param(
+                _mutated(lambda p: p["tree"]["children"][1]["assessments"].update(a=0.5)),
+                "/root/y: assessment for 'a' must be an object",
+                id="assessment-number",
+            ),
+        ],
+    )
+    def test_message_names_the_rule(self, tmp_path, payload, message):
+        # through a file: a text source must start with "{"
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ModelFormatError, match=message):
+            load_model(path)
+
+    def test_file_that_is_not_utf8_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(doc().replace('"a"', '"\xe9"').encode("latin-1"))
+        with pytest.raises(ModelFormatError, match="not valid JSON: 'utf-8' codec can't decode"):
+            load_model(path)
+
+
+class TestValidationDiagnostics:
+    """Each semantic rule of ``validate``, with the path and message it reports."""
+
+    @staticmethod
+    def _model():
+        return load_model(doc())
+
+    def _diagnostics(self, model):
+        return [str(d) for d in validate(model)]
+
+    def test_the_minimal_model_is_clean(self):
+        assert self._diagnostics(self._model()) == []
+
+    def test_basic_attribute_without_reliability(self):
+        payload = json.loads(doc())
+        del payload["tree"]["children"][0]["reliability"]
+        model = load_model(json.dumps(payload), check=False)
+        assert self._diagnostics(model) == ["root/x: basic attribute lacks a reliability"]
+
+    def test_children_without_importances(self):
+        payload = json.loads(doc())
+        del payload["tree"]["children"][1]["importance"]
+        model = load_model(json.dumps(payload), check=False)
+        assert self._diagnostics(model) == ["root: children lack importances: ['y']"]
+
+    def test_assessment_over_another_frame(self):
+        model = self._model()
+        other = GradeFrame(["low", "high"])
+        x, y = model.root.children
+        x = replace(x, assessments={"a": Assessment.from_degrees(other, {"high": 0.7})})
+        model = replace(model, root=replace(model.root, children=(x, y)))
+        assert self._diagnostics(model) == ["root/x: assessment for 'a' uses a different frame"]
+
+    def test_general_attribute_with_assessments(self):
+        model = self._model()
+        carried = model.root.children[0].assessments
+        model = replace(model, root=replace(model.root, assessments=carried))
+        assert self._diagnostics(model) == ["root: general attribute carries assessments"]
+
+    def test_utility_over_another_frame(self):
+        model = self._model()
+        model = replace(model, utility=UtilityFunction.evenly_spaced(GradeFrame(["low", "high"])))
+        assert self._diagnostics(model) == ["root: utility function uses a different frame"]
+
+    def test_node_name_with_a_slash(self):
+        payload = json.loads(doc())
+        payload["tree"]["children"][0]["name"] = "x/z"
+        with pytest.raises(ModelValidationError) as info:
+            load_model(json.dumps(payload))
+        assert [str(d) for d in info.value.diagnostics] == [
+            "root/x/z: node name contains '/', the path separator"
+        ]
+
+
+class TestRenormalizedImportances:
+    def test_every_level_is_rescaled_as_it_is_parsed(self):
+        payload = json.loads(motorcycle_json())
+        stack = [(payload["tree"], 0)]
+        while stack:
+            node, depth = stack.pop()
+            if "importance" in node:
+                node["importance"] *= 1.3 + 0.2 * depth
+            stack.extend((c, depth + 1) for c in node.get("children", []))
+        text = json.dumps(payload)
+        with pytest.raises(ModelValidationError, match="importances sum"):
+            load_model(text)
+        model = load_model(text, renormalize_importances=True)
+        original = motorcycle_model()
+        for (path, node), (_, before) in zip(model.walk(), original.walk()):
+            if node.children:
+                assert sum(c.importance for c in node.children) == pytest.approx(1.0)
+                assert [c.importance for c in node.children] == pytest.approx(
+                    [c.importance for c in before.children]
+                )
+        assert load_model(motorcycle_json(), renormalize_importances=False) == original
+
+    def test_siblings_without_positive_importance_are_left_alone(self):
+        payload = json.loads(doc())
+        for child in payload["tree"]["children"]:
+            child["importance"] = 0.0
+        model = load_model(json.dumps(payload), renormalize_importances=True, check=False)
+        assert [c.importance for c in model.root.children] == [0.0, 0.0]
+
+
+class TestResultDocumentHeader:
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            pytest.param(
+                lambda p: p["documents"][0].update(algorithm=1),
+                "result document 0: algorithm must be a string",
+                id="algorithm-number",
+            ),
+            pytest.param(
+                lambda p: p.update(schema="er-result/9"), "unsupported result document", id="wrong-schema"
+            ),
+            pytest.param(lambda p: p.pop("schema"), "unsupported result document", id="no-schema"),
+        ],
+    )
+    def test_message_names_the_rule(self, mutate, message):
+        payload = _saved_minimal_payload()
+        mutate(payload)
+        with pytest.raises(ModelFormatError, match=message):
+            load_results(json.dumps(payload))
