@@ -6,7 +6,9 @@ aggregation schemes bottom-up, and ranks the alternatives by expected
 utility.
 """
 
-from erkit import decide, derive_reliabilities, evaluate, motorcycle_model, validate
+from erkit import (
+    decide, derive_reliabilities, evaluate, evaluate_batch, motorcycle_model, validate,
+)
 
 model = motorcycle_model()
 print(f"alternatives : {', '.join(model.alternatives)}")
@@ -20,15 +22,15 @@ print(f"diagnostics  : {validate(model) or 'none'}")
 model = derive_reliabilities(model, strict=True)
 print(f"derived root reliability: {model.root.reliability:.4f}")
 
-root = model.root.name
 for algo in ("oer", "mer", "e2r"):
-    combined = {alt: evaluate(model, algo, alt)[root] for alt in model.alternatives}
-    result = decide(combined, model.utility)
+    batch = evaluate_batch(model, algo)  # every node, every alternative; the root row last
+    result = decide(batch, model.utility)
     print(f"\n=== {algo} ===")
-    for alt in model.alternatives:
-        c = combined[alt]
-        degrees = "  ".join(f"{d:.4f}" for d in c.assigned)
-        print(f"  {alt:10s} [{degrees}]  unknown={c.unassigned:.4f}"
+    for alt, assigned, unassigned in zip(
+        model.alternatives, batch.assigned[-1].tolist(), batch.unassigned[-1].tolist()
+    ):
+        degrees = "  ".join(f"{d:.4f}" for d in assigned)
+        print(f"  {alt:10s} [{degrees}]  unknown={unassigned:.4f}"
               f"  utility={result.utilities[alt]:.4f}")
     print("  ranking:", " > ".join(result.ranking))
 

@@ -132,7 +132,7 @@ def _run_algorithms(
                 }
                 for alt in model.alternatives
             }
-        ranked = decide(batch.roots(), model.utility)
+        ranked = decide(batch, model.utility)
         documents.append(result_from_evaluation(batch, ranked, traces))
     return documents
 

@@ -5,11 +5,17 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Mapping
+from operator import mul
+from typing import TYPE_CHECKING, Mapping
 
 from .algorithms import CombinedAssessment, DEGREE_SUM_TOL
 from .dst import GradeFrame
 from .errors import FrameMismatchError
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .hierarchy import BatchEvaluation
 
 
 @dataclass(frozen=True)
@@ -85,19 +91,23 @@ def rank(utilities: Mapping[str, float]) -> list[str]:
     return sorted(utilities, key=lambda alt: -utilities[alt])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RankedResult:
-    """Decision summary: redistributed degrees, utilities, and the ranking."""
+    """Decision summary: redistributed degrees (alternatives × grades), utilities, ranking."""
 
-    degrees: dict[str, dict[str, float]]
+    degrees: np.ndarray
     utilities: dict[str, float]
     ranking: tuple[str, ...]
 
 
-def decide(
-    combined: Mapping[str, CombinedAssessment], utility: UtilityFunction
-) -> RankedResult:
-    """Score and rank a set of per-alternative combined assessments."""
-    degrees = {alt: redistribute_unknown(c) for alt, c in combined.items()}
-    utilities = {alt: expected_utility(d, utility) for alt, d in degrees.items()}
+def decide(batch: BatchEvaluation, utility: UtilityFunction) -> RankedResult:
+    """Score and rank the root rows of a batch evaluation: bit for bit what
+    :func:`redistribute_unknown` and :func:`expected_utility` give alternative by alternative."""
+    if utility.frame != batch.frame:
+        raise ValueError("the utility function uses a different frame")
+    degrees = batch.assigned[-1] + batch.unassigned[-1, :, None] / batch.frame.size
+    utilities = {
+        alt: math.fsum(map(mul, row, utility.values))
+        for alt, row in zip(batch.alternatives, degrees.tolist())
+    }
     return RankedResult(degrees, utilities, tuple(rank(utilities)))

@@ -414,14 +414,6 @@ class BatchEvaluation:
     assigned: np.ndarray
     unassigned: np.ndarray
 
-    def roots(self) -> dict[str, CombinedAssessment]:
-        """The root's combined assessment per alternative."""
-        rows = self.assigned[-1].tolist()
-        return {
-            alt: CombinedAssessment(self.frame, tuple(row), u)
-            for alt, row, u in zip(self.alternatives, rows, self.unassigned[-1].tolist())
-        }
-
 
 def evaluate_batch(model: EvaluationModel | CompiledModel, algorithm: str) -> BatchEvaluation:
     """Evaluate every alternative at once, folding each general node once.

@@ -11,9 +11,10 @@ distributions, the redistributed degrees, expected utilities, the ranking,
 and (optionally) aggregation traces.  Node results have one
 representation: arrays over nodes in post-order, root last, as
 :func:`~erkit.hierarchy.evaluate_batch` gives them: ``assigned`` (nodes ×
-alternatives × grades) and ``unassigned`` (nodes × alternatives).  A batch
-keeps its arrays and :func:`load_results` fills them; ``node_results`` is
-a read-only alternative -> path -> distribution view built on access, and
+alternatives × grades) and ``unassigned`` (nodes × alternatives), and the
+redistributed degrees (alternatives × grades) as :func:`~erkit.decision.decide`
+gives them.  :func:`load_results` fills them; ``node_results`` is a
+read-only alternative -> path -> distribution view built on access, and
 the table, CSV and comparison reports read the root row only.
 
 The JSON report is written straight from the arrays by one ``%`` template
@@ -120,6 +121,8 @@ def _parse_node(
     name = _require(raw, "name", where)
     if not isinstance(name, str) or not name:
         raise ModelFormatError(f"{where}: node name must be a non-empty string")
+    if not _encodes(name):
+        raise ModelFormatError(f"{where}: node name {name!r} does not encode as UTF-8")
     here = f"{where}/{name}"
     children_raw = raw.get("children", [])
     assessments_raw = raw.get("assessments", {})
@@ -265,6 +268,7 @@ class ResultDocument:
     grades) and ``unassigned`` (nodes × alternatives), nodes following
     ``paths`` (post-order, root last) and alternatives ``alternatives``.
     ``node_results`` reads them as alternative -> path -> distribution.
+    ``redistributed`` is (alternatives × grades).
     """
 
     algorithm: str
@@ -273,7 +277,7 @@ class ResultDocument:
     paths: tuple[str, ...]
     assigned: np.ndarray
     unassigned: np.ndarray
-    redistributed: dict[str, dict[str, float]]
+    redistributed: np.ndarray
     utilities: dict[str, float]
     ranking: tuple[str, ...]
     traces: dict[str, dict[str, list[dict]]] | None = None
@@ -286,6 +290,8 @@ class ResultDocument:
             raise ValueError(
                 "node arrays must be (nodes × alternatives × grades) and (nodes × alternatives)"
             )
+        if self.redistributed.shape != self.assigned.shape[1:]:
+            raise ValueError("redistributed degrees must be (alternatives × grades)")
         # Grades, alternatives and paths become JSON keys; a repeat would write a key twice.
         for name in ("frame", "alternatives", "paths"):
             if len(set(getattr(self, name))) != len(getattr(self, name)):
@@ -297,10 +303,11 @@ class ResultDocument:
         return (
             (self.algorithm, self.frame, self.alternatives, self.paths)
             == (other.algorithm, other.frame, other.alternatives, other.paths)
-            and (self.redistributed, self.utilities, self.ranking, self.traces)
-            == (other.redistributed, other.utilities, other.ranking, other.traces)
+            and (self.utilities, self.ranking, self.traces)
+            == (other.utilities, other.ranking, other.traces)
             and np.array_equal(self.assigned, other.assigned)
             and np.array_equal(self.unassigned, other.unassigned)
+            and np.array_equal(self.redistributed, other.redistributed)
         )
 
     @cached_property
@@ -370,9 +377,9 @@ def result_from_evaluation(
         paths=paths,
         assigned=assigned,
         unassigned=unassigned,
-        redistributed={a: dict(r) for a, r in ranked.degrees.items()},
-        utilities=dict(ranked.utilities),
-        ranking=tuple(ranked.ranking),
+        redistributed=ranked.degrees,
+        utilities=ranked.utilities,
+        ranking=ranked.ranking,
         traces={a: dict(t) for a, t in traces.items()} if traces is not None else None,
     )
 
@@ -396,39 +403,39 @@ def _template_key(key: str) -> str:
     return _escape(key).replace("%", "%%")
 
 
-def _nodes_template(doc: ResultDocument) -> str:
-    """The ``"nodes"`` object of one alternative: ``%r`` per degree, node after node."""
+def _entry_template(doc: ResultDocument) -> str:
+    """One alternative's entry after its key: ``%r`` per degree, node after node,
+    then per redistributed degree, then for the utility."""
     assigned = _block([" " * 16 + _template_key(g) + ": %r" for g in doc.frame], 14)
     record = ': {\n' + " " * 14 + '"assigned": ' + assigned + ",\n"
     record += " " * 14 + '"unassigned": %r\n' + " " * 12 + "}"
-    return _block([" " * 12 + _template_key(path) + record for path in doc.paths], 10)
+    nodes = _block([" " * 12 + _template_key(path) + record for path in doc.paths], 10)
+    redistributed = _block([" " * 12 + _template_key(g) + ": %r" for g in doc.frame], 10)
+    return (
+        ': {\n          "nodes": ' + nodes + ',\n          "redistributed": ' + redistributed
+        + ',\n          "utility": %r\n        }'
+    )
 
 
 def _write_document(doc: ResultDocument, out: list[str]) -> None:
     """Append one result document to ``out`` as ``json.dumps(indent=2)`` lays
     it out in the report's ``documents`` list."""
-    values = np.concatenate([doc.assigned, doc.unassigned[:, :, None]], axis=2)
+    # One flat row of floats per alternative, in the order of the template's %r.
+    nodes = np.concatenate([doc.assigned, doc.unassigned[:, :, None]], axis=2).transpose(1, 0, 2)
+    utilities = [[doc.utilities[alt]] for alt in doc.alternatives]
+    values = np.hstack([nodes.reshape(len(doc.alternatives), -1), doc.redistributed, utilities])
     if not np.isfinite(values).all():
         bad = float(values[~np.isfinite(values)][0])
         raise ValueError(f"Out of range float values are not JSON compliant: {bad!r}")
-    # One flat row of floats per alternative, in the order of the template's %r.
-    per_alternative = len(doc.paths) * (len(doc.frame) + 1)
-    rows = values.transpose(1, 0, 2).reshape(len(doc.alternatives), per_alternative).tolist()
-    nodes = _nodes_template(doc)
+    entry = _entry_template(doc)
     out.append(
         '{\n      "algorithm": ' + _dumps(doc.algorithm, 6)
         + ',\n      "frame": ' + _dumps(list(doc.frame), 6)
         + ',\n      "alternatives": ' + _dumps(list(doc.alternatives), 6)
         + ',\n      "results": {'
     )
-    for i, (alt, row) in enumerate(zip(doc.alternatives, rows)):
-        out.append((",\n" if i else "\n") + " " * 8 + _escape(alt) + ': {\n          "nodes": ')
-        out.append(nodes % tuple(row))
-        out.append(
-            ',\n          "redistributed": ' + _dumps(doc.redistributed[alt], 10)
-            + ',\n          "utility": ' + _dumps(doc.utilities[alt], 10)
-            + "\n        }"
-        )
+    for i, (alt, row) in enumerate(zip(doc.alternatives, values.tolist())):
+        out.append((",\n" if i else "\n") + " " * 8 + _escape(alt) + entry % tuple(row))
     out.append('\n      },\n      "ranking": ' + _dumps(list(doc.ranking), 6))
     if doc.traces is not None:
         out.append(',\n      "traces": ' + _dumps(doc.traces, 6))
@@ -472,14 +479,34 @@ def _require_object(mapping: Mapping, key: str, where: str) -> Mapping:
     return value
 
 
+def _encodes(text: str) -> bool:
+    """Whether ``text`` encodes as UTF-8; a JSON escape can give a lone surrogate, which does not."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 def _require_strings(mapping: Mapping, key: str, where: str) -> tuple[str, ...]:
     value = _require(mapping, key, where)
     if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
         raise ModelFormatError(f"{where}: {key} must be a list of strings")
+    if not _encodes("".join(value)):
+        raise ModelFormatError(f"{where}: {key} holds a string that does not encode as UTF-8")
     return tuple(value)
 
 
 _NUMBER_TYPES = frozenset((int, float))
+
+
+def _in_frame_order(degrees, frame: tuple[str, ...]) -> list | None:
+    """The values of a grade -> value object in frame order; ``None`` unless it
+    names exactly the frame's grades."""
+    try:
+        return [degrees[g] for g in frame] if len(degrees) == len(frame) else None
+    except (KeyError, TypeError):
+        return None
 
 
 def _node_values(dist, frame: tuple[str, ...], where: str, path: str) -> list:
@@ -488,11 +515,7 @@ def _node_values(dist, frame: tuple[str, ...], where: str, path: str) -> list:
     Checked per node rather than per value, as a saved report holds one
     node per path and alternative; the message is built only on failure.
     """
-    degrees = dist.get("assigned") if isinstance(dist, Mapping) else None
-    try:
-        values = [degrees[g] for g in frame] if len(degrees) == len(frame) else None
-    except (KeyError, TypeError):
-        values = None
+    values = _in_frame_order(dist.get("assigned") if isinstance(dist, Mapping) else None, frame)
     if values is None:
         raise ModelFormatError(
             f"{where}: node {path!r} needs an assigned object with one degree per grade"
@@ -504,6 +527,29 @@ def _node_values(dist, frame: tuple[str, ...], where: str, path: str) -> list:
     return values
 
 
+_TRACE_KEYS = {"singletons", "frame_mass", "omega_mass", "normalizer"}
+
+
+def _check_traces(traces, frame: tuple[str, ...], where: str) -> None:
+    """Every trace step as :func:`trace_to_json` writes it: its four keys, the
+    singletons keyed by the frame's grades, and finite numbers."""
+    if not (isinstance(traces, Mapping) and all(isinstance(t, Mapping) for t in traces.values())):
+        raise ModelFormatError(f"{where}: traces must map alternatives to objects")
+    for alt, by_path in traces.items():
+        for path, steps in by_path.items():
+            here = f"{where}: trace of {path!r} for {alt!r}"
+            if not isinstance(steps, list):
+                raise ModelFormatError(f"{here}: must be a list of steps")
+            for step in steps:
+                if not isinstance(step, Mapping) or step.keys() != _TRACE_KEYS:
+                    raise ModelFormatError(f"{here}: a step must have the keys {sorted(_TRACE_KEYS)}")
+                masses = _in_frame_order(step["singletons"], frame)
+                if masses is None:
+                    raise ModelFormatError(f"{here}: singletons must give one mass per grade")
+                for mass in (*masses, step["frame_mass"], step["omega_mass"], step["normalizer"]):
+                    _number(mass, "trace mass", here)
+
+
 def _document_from_json(raw, where: str) -> ResultDocument:
     """One result document, every point of its schema checked, its node results as arrays."""
     if not isinstance(raw, Mapping):
@@ -511,6 +557,8 @@ def _document_from_json(raw, where: str) -> ResultDocument:
     algorithm = _require(raw, "algorithm", where)
     if not isinstance(algorithm, str):
         raise ModelFormatError(f"{where}: algorithm must be a string")
+    if not _encodes(algorithm):
+        raise ModelFormatError(f"{where}: algorithm {algorithm!r} does not encode as UTF-8")
     frame = _require_strings(raw, "frame", where)
     alternatives = _require_strings(raw, "alternatives", where)
     for key, values in (("frame", frame), ("alternatives", alternatives)):
@@ -519,13 +567,11 @@ def _document_from_json(raw, where: str) -> ResultDocument:
     results = _require_object(raw, "results", where)
     ranking = _require_strings(raw, "ranking", where)
     traces = raw.get("traces")
-    if traces is not None and not (
-        isinstance(traces, Mapping) and all(isinstance(t, Mapping) for t in traces.values())
-    ):
-        raise ModelFormatError(f"{where}: traces must map alternatives to objects")
+    if traces is not None:
+        _check_traces(traces, frame, where)
 
     paths: tuple[str, ...] = ()
-    values, redistributed, utilities = [], {}, {}
+    values, utilities = [], {}
     for alt in alternatives:
         if alt not in results:
             raise ModelFormatError(f"{where}: no results for alternative {alt!r}")
@@ -544,11 +590,16 @@ def _document_from_json(raw, where: str) -> ResultDocument:
             raise ModelFormatError(f"{here}: nodes must name the same paths for every alternative")
         for path in paths:
             values.extend(_node_values(nodes[path], frame, here, path))
-        redistributed[alt] = {
-            g: _number(d, "redistributed degree", here)
-            for g, d in _require_object(entry, "redistributed", here).items()
-        }
+        redistributed = _in_frame_order(_require_object(entry, "redistributed", here), frame)
+        if redistributed is None:
+            raise ModelFormatError(f"{here}: redistributed must give one degree per grade")
+        if not _NUMBER_TYPES.issuperset(map(type, redistributed)):
+            for d in redistributed:
+                _number(d, "redistributed degree", here)  # raises for the first non-number
+        values.extend(redistributed)  # one more frame-ordered block of the alternative's row
         utilities[alt] = _number(_require(entry, "utility", here), "utility", here)
+    if len(ranking) != len(alternatives) or set(ranking) != set(alternatives):
+        raise ModelFormatError(f"{where}: ranking must be a permutation of the alternatives")
 
     try:
         stacked = np.array(values, dtype=float)
@@ -556,17 +607,21 @@ def _document_from_json(raw, where: str) -> ResultDocument:
     except OverflowError:  # an integer beyond the double range
         finite = False
     if not finite:
+        for alt in alternatives:  # a redistributed degree at fault is named as such
+            for d in results[alt]["redistributed"].values():
+                _number(d, "redistributed degree", f"{where}: results for {alt!r}")
         raise ModelFormatError(f"{where}: node degrees must be finite doubles")
-    grades = len(frame)
-    stacked = stacked.reshape(len(alternatives), len(paths), grades + 1)
+    grades, per_node = len(frame), len(paths) * (len(frame) + 1)
+    stacked = stacked.reshape(len(alternatives), per_node + grades)
+    node_rows = stacked[:, :per_node].reshape(len(alternatives), len(paths), grades + 1)
     return ResultDocument(
         algorithm=algorithm,
         frame=frame,
         alternatives=alternatives,
         paths=paths,
-        assigned=stacked[:, :, :grades].transpose(1, 0, 2),
-        unassigned=stacked[:, :, grades].T,
-        redistributed=redistributed,
+        assigned=node_rows[:, :, :grades].transpose(1, 0, 2),
+        unassigned=node_rows[:, :, grades].T,
+        redistributed=stacked[:, per_node:],
         utilities=utilities,
         ranking=ranking,
         traces={a: dict(t) for a, t in traces.items()} if traces is not None else None,

@@ -41,6 +41,7 @@ from erkit import (
     derive_reliabilities,
     e2r_aggregate,
     evaluate,
+    evaluate_batch,
     extended_dempster_combine,
     generic_combine,
     importance_discount,
@@ -98,11 +99,7 @@ def benchmark_decisions():
     model = derive_reliabilities(motorcycle_model())
     out = {}
     for algo in AGGREGATORS:
-        combined = {
-            alt: evaluate(model, algo, alt)[model.root.name]
-            for alt in model.alternatives
-        }
-        out[algo] = decide(combined, model.utility)
+        out[algo] = decide(evaluate_batch(model, algo), model.utility)
     return out
 
 

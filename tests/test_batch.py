@@ -21,15 +21,18 @@ from erkit import (
     GradeFrame,
     UtilityFunction,
     assessment_to_bba,
+    decide,
     derive_reliabilities,
     dempster_combine,
     evaluate,
     evaluate_batch,
+    expected_utility,
     extended_dempster_combine,
     importance_discount,
     load_model,
     motorcycle_model,
     normalize_ibba,
+    redistribute_unknown,
     reliability_discount,
     reliability_importance_discount,
     save_results,
@@ -133,7 +136,38 @@ def test_batch_equals_per_alternative_on_the_motorcycle_model(scheme):
     plan = CompiledModel(model)
     batch = evaluate_batch(plan, scheme)
     assert_batch_equals_evaluate(model, batch, plan)
-    assert batch.roots() == {alt: evaluate(model, scheme, alt)[model.root.name] for alt in model.alternatives}
+
+
+def assert_decide_equals_the_scalar_reference(model, batch):
+    """decide on the batch's root rows gives, bit for bit, what redistribute_unknown and
+    expected_utility give alternative by alternative on evaluate's root."""
+    ranked = decide(batch, model.utility)
+    for a, alt in enumerate(model.alternatives):
+        redistributed = redistribute_unknown(evaluate(model, batch.algorithm, alt)[model.root.name])
+        assert ranked.degrees[a].tolist() == list(redistributed.values()), alt
+        assert ranked.utilities[alt] == expected_utility(redistributed, model.utility), alt
+    assert list(ranked.utilities) == list(model.alternatives)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    depth=st.integers(1, 3),
+    branching=st.integers(1, 4),
+    grades=st.integers(2, 5),
+    alternatives=st.integers(1, 100),
+)
+def test_decide_equals_the_scalar_reference(seed, depth, branching, grades, alternatives):
+    model = random_model(seed, depth, branching, grades, alternatives)
+    model = replace(model, utility=UtilityFunction.evenly_spaced(model.frame))
+    for scheme in AGGREGATORS:
+        assert_decide_equals_the_scalar_reference(model, evaluate_batch(model, scheme))
+
+
+@pytest.mark.parametrize("scheme", AGGREGATORS)
+def test_decide_equals_the_scalar_reference_on_the_motorcycle_model(scheme):
+    model = derive_reliabilities(motorcycle_model())
+    assert_decide_equals_the_scalar_reference(model, evaluate_batch(model, scheme))
 
 
 def _conflict_document():
@@ -283,20 +317,22 @@ def awkward_model(model):
 
 def reference_report(model, documents):
     """The report as ``json.dumps`` wrote the nested-dict payload before the array writer,
-    node results taken from per-alternative :func:`evaluate`."""
+    node results taken from per-alternative :func:`evaluate` and the decision from
+    :func:`redistribute_unknown` and :func:`expected_utility` on its root."""
     plan = CompiledModel(model)
     payload = []
     for doc in documents:
         results = {}
         for alt in doc.alternatives:
-            nodes = {
-                path: {"assigned": c.assigned_degrees, "unassigned": c.unassigned}
-                for path, c in evaluate(plan, doc.algorithm, alt).items()
-            }
+            per = evaluate(plan, doc.algorithm, alt)
+            redistributed = redistribute_unknown(per[model.root.name])
             results[alt] = {
-                "nodes": nodes,
-                "redistributed": doc.redistributed[alt],
-                "utility": doc.utilities[alt],
+                "nodes": {
+                    path: {"assigned": c.assigned_degrees, "unassigned": c.unassigned}
+                    for path, c in per.items()
+                },
+                "redistributed": redistributed,
+                "utility": expected_utility(redistributed, model.utility),
             }
         out = {
             "algorithm": doc.algorithm,
@@ -348,7 +384,7 @@ def test_json_writer_rejects_non_finite_values(seed, alternatives, where, value,
     elif where == "utility":
         document.utilities[name] = value
     else:
-        document.redistributed[name][document.frame[grade]] = value
+        document.redistributed[alt, grade] = value
     with pytest.raises(ValueError, match="not JSON compliant"):
         save_results(document)
 

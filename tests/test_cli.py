@@ -328,6 +328,27 @@ class TestInputsTheLoaderRejects:
         assert code == EXIT_VALIDATION
         assert err.startswith("error:") and "not valid JSON" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(["--format", "table"], id="table"),
+            pytest.param(["--format", "csv"], id="csv"),
+            pytest.param(["--format", "table", "--out"], id="table-out"),
+            pytest.param(["--format", "csv", "--out"], id="csv-out"),
+        ],
+    )
+    def test_name_with_a_lone_surrogate_is_validation_failure(self, capsys, tmp_path, argv):
+        """The first motorcycle renamed "\\ud800" everywhere: such a name cannot be written as UTF-8."""
+        text = json.dumps(json.loads(motorcycle_json())).replace('"Kawasaki"', '"\\ud800"')
+        path, report = tmp_path / "model.json", tmp_path / "report"
+        path.write_text(text, encoding="utf-8")
+        if argv[-1] == "--out":
+            argv = [*argv, str(report)]
+        code, out, err = run(capsys, "evaluate", "--algo", "all", *argv, str(path))
+        assert (code, out) == (EXIT_VALIDATION, "")
+        assert err.startswith("error:") and "alternatives holds a string that does not encode as UTF-8" in err
+        assert not report.exists()
+
     def test_node_name_with_a_slash_is_validation_failure(self, capsys, tmp_path):
         doc = _slash_document()
         code, out, err = self._run_file(capsys, tmp_path, json.dumps(doc).encode())

@@ -2,9 +2,12 @@
 
 Whatever JSON document a model file holds, ``main()`` returns 0, 1, 2 or
 3 and lets no exception escape; a nonzero exit prints a stderr line that
-starts with ``error:``.  Documents are arbitrary JSON values, and the
+starts with ``error:``.  Documents are arbitrary JSON values, the
 motorcycle model with one value (a container or a scalar) replaced by an
-arbitrary JSON value.
+arbitrary JSON value, and the motorcycle model with one alternative
+renamed everywhere.  Text includes lone surrogates, which JSON escapes
+allow but UTF-8 cannot encode.  One command writes its report through
+``--out``.
 """
 
 import contextlib
@@ -27,9 +30,12 @@ numbers = st.one_of(
     st.integers(min_value=-(10**400), max_value=-(2**1024)),
 )
 
+# Every code point, surrogates included.
+texts = st.text(st.characters(exclude_categories=()))
+
 json_values = st.recursive(
-    st.none() | st.booleans() | numbers | st.text(),
-    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    st.none() | st.booleans() | numbers | texts,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(texts, inner, max_size=4),
     max_leaves=12,
 )
 
@@ -62,20 +68,41 @@ def mutated_motorcycle(draw):
     return document
 
 
+@st.composite
+def renamed_motorcycle(draw):
+    document = json.loads(motorcycle_json())
+    old = draw(st.sampled_from(document["alternatives"]))
+    new = draw(texts)
+    document["alternatives"] = [new if a == old else a for a in document["alternatives"]]
+    stack = [document["tree"]]
+    while stack:
+        node = stack.pop()
+        stack.extend(node.get("children", []))
+        if "assessments" in node:
+            node["assessments"] = {new if a == old else a: d for a, d in node["assessments"].items()}
+    return document
+
+
 COMMANDS = [
     ["evaluate", "--algo", "all", "--format", "json"],
     ["evaluate", "--trace", "--format", "csv"],
+    ["evaluate", "--format", "table", "--out"],
     ["compare", "--format", "table"],
 ]
 
 
 @settings(max_examples=250, deadline=None)
-@given(document=json_values | mutated_motorcycle(), argv=st.sampled_from(COMMANDS))
+@given(
+    document=json_values | mutated_motorcycle() | renamed_motorcycle(),
+    argv=st.sampled_from(COMMANDS),
+)
 def test_every_document_gets_a_contract_exit_code(document, argv):
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as scratch:
         path = Path(scratch) / "model.json"
         path.write_text(json.dumps(document), encoding="utf-8")
+        if argv[-1] == "--out":
+            argv = [*argv, str(Path(scratch) / "report")]
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main([*argv, str(path)])
     assert code in (0, 1, 2, 3)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from erkit import (
+    BatchEvaluation,
     CombinedAssessment,
     MassFunction,
     UtilityFunction,
@@ -136,11 +137,12 @@ class TestRank:
 
 class TestDecide:
     def test_bundles_degrees_utilities_and_ranking(self):
-        combined = {
-            "good": CombinedAssessment(H5, (0.0, 0.0, 0.0, 0.9, 0.0), 0.1),
-            "better": CombinedAssessment(H5, (0.0, 0.0, 0.0, 0.0, 0.9), 0.1),
-        }
-        result = decide(combined, U5)
+        batch = BatchEvaluation(
+            "e2r", H5, ("good", "better"), ("root",),
+            assigned=np.array([[[0.0, 0.0, 0.0, 0.9, 0.0], [0.0, 0.0, 0.0, 0.0, 0.9]]]),
+            unassigned=np.array([[0.1, 0.1]]),
+        )
+        result = decide(batch, U5)
         assert result.ranking == ("better", "good")
         assert result.utilities["better"] > result.utilities["good"]
-        assert math.fsum(result.degrees["good"].values()) == pytest.approx(1.0)
+        assert math.fsum(result.degrees[0]) == pytest.approx(1.0)

@@ -218,12 +218,21 @@ def _saved_minimal_payload() -> dict:
     payload = json.loads(save_results(_run_algorithms(model, ("e2r",), with_trace=False)))
     document = payload["documents"][0]
     document["alternatives"].append("b")
+    document["ranking"].append("b")
     document["results"]["b"] = json.loads(json.dumps(document["results"]["a"]))
     return payload
 
 
 def _nodes(payload, alt="a"):
     return payload["documents"][0]["results"][alt]["nodes"]
+
+
+def _rename_b(payload, name):
+    """Alternative "b" renamed ``name`` in the alternatives, the results and the ranking."""
+    document = payload["documents"][0]
+    document["results"][name] = document["results"].pop("b")
+    for key in ("alternatives", "ranking"):
+        document[key] = [name if a == "b" else a for a in document[key]]
 
 
 def _root_first(payload):
@@ -270,6 +279,10 @@ class TestMalformedResultDocuments:
             pytest.param(lambda p: p["documents"][0]["results"]["b"].pop("utility"), id="no-utility"),
             pytest.param(lambda p: p["documents"][0]["results"]["a"].update(redistributed=[0.5, 0.5]), id="redistributed-list"),
             pytest.param(lambda p: p["documents"][0]["results"]["a"]["redistributed"].update(bad=None), id="redistributed-null"),
+            pytest.param(lambda p: p["documents"][0]["results"]["a"].update(redistributed={"zzz": 0.5}), id="redistributed-unknown-grade"),
+            pytest.param(lambda p: p["documents"][0].update(ranking=["nobody"]), id="ranking-not-a-permutation"),
+            pytest.param(lambda p: _rename_b(p, "\ud800"), id="lone-surrogate-alternative"),
+            pytest.param(lambda p: p["documents"][0].update(algorithm="\ud800"), id="lone-surrogate-algorithm"),
         ],
     )
     def test_every_schema_point_raises_model_format_error(self, mutate):
@@ -359,6 +372,48 @@ class TestNumbersBeyondTheDoubleRange:
             load_model(text)
 
 
+def _saved_trace_payload() -> dict:
+    """The e2r result document of MINIMAL, with its traces."""
+    model = derive_reliabilities(load_model(doc()))
+    return json.loads(save_results(_run_algorithms(model, ("e2r",), with_trace=True)))
+
+
+def _trace_step(payload) -> dict:
+    return payload["documents"][0]["traces"]["a"]["root"][0]
+
+
+class TestMalformedTraces:
+    def test_the_unmutated_payload_loads(self):
+        (document,) = load_results(json.dumps(_saved_trace_payload()))
+        assert document.traces["a"]["root"][0] == _trace_step(_saved_trace_payload())
+
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            pytest.param(lambda p: p["documents"][0]["traces"]["a"].update(root={}), "must be a list of steps", id="steps-object"),
+            pytest.param(lambda p: p["documents"][0]["traces"]["a"]["root"].append(5), "a step must have the keys", id="step-number"),
+            pytest.param(lambda p: _trace_step(p).pop("normalizer"), "a step must have the keys", id="no-normalizer"),
+            pytest.param(lambda p: _trace_step(p).update(extra=1.0), "a step must have the keys", id="extra-key"),
+            pytest.param(lambda p: _trace_step(p)["singletons"].pop("good"), "singletons must give one mass per grade", id="missing-grade"),
+            pytest.param(lambda p: _trace_step(p).update(singletons={"bad": 0.1, "zzz": 0.1}), "singletons must give one mass per grade", id="unknown-grade"),
+            pytest.param(lambda p: _trace_step(p).update(omega_mass="0.1"), "trace mass must be a number", id="string-mass"),
+            pytest.param(lambda p: _trace_step(p)["singletons"].update(bad=None), "trace mass must be a number", id="null-singleton"),
+        ],
+    )
+    def test_every_step_is_checked(self, mutate, message):
+        payload = _saved_trace_payload()
+        mutate(payload)
+        with pytest.raises(ModelFormatError, match=f"result document 0: trace of 'root' for 'a'.*{message}"):
+            load_results(json.dumps(payload))
+
+    @pytest.mark.parametrize("number", BEYOND_DOUBLES)
+    def test_masses_beyond_the_double_range_are_rejected(self, number):
+        where = ("documents", 0, "traces", "a", "root", 0, "frame_mass")
+        text = _with_raw_number(_saved_trace_payload(), where, number)
+        with pytest.raises(ModelFormatError, match="trace mass must be a finite double"):
+            load_results(text)
+
+
 def _mutated(mutate):
     """MINIMAL as a fresh payload, changed by ``mutate``."""
     payload = json.loads(doc())
@@ -425,6 +480,21 @@ class TestModelFormatErrors:
                 _mutated(lambda p: p["tree"]["children"][0].update(name="")),
                 "node name must be a non-empty string",
                 id="empty-name",
+            ),
+            pytest.param(
+                _mutated(lambda p: p["tree"]["children"][0].update(name="x\udc00")),
+                r"/root: node name 'x\\udc00' does not encode as UTF-8",
+                id="lone-surrogate-node-name",
+            ),
+            pytest.param(
+                _mutated(lambda p: p.update(frame=["bad", "\ud800"])),
+                "frame holds a string that does not encode as UTF-8",
+                id="lone-surrogate-grade",
+            ),
+            pytest.param(
+                _mutated(lambda p: p.update(alternatives=["\ud800"])),
+                "alternatives holds a string that does not encode as UTF-8",
+                id="lone-surrogate-alternative",
             ),
             pytest.param(
                 _mutated(lambda p: p["tree"].update(assessments={"a": {"good": 1.0}})),
