@@ -36,7 +36,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .algorithms import AGGREGATORS  # noqa: F401  (re-exported: the scheme table check_axiom reads)
+# Re-exported: the same dict as algorithms.AGGREGATORS, which check_axiom reads
+# through _scheme, so an entry patched here is the one check_axiom calls.
+from .algorithms import AGGREGATORS  # noqa: F401
 from .algorithms import Assessment, WeightedAssessment, _aggregate, _common_frame, _scheme
 from .dst import GradeFrame
 from .errors import AxiomInapplicableError

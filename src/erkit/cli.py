@@ -7,7 +7,8 @@ and ``check-axioms`` runs the randomized synthesis-axiom audit.
 Exit codes: 0 success, 1 validation failure, 2 runtime aggregation failure
 (total conflict or a degenerate mass), 3 I/O failure.  Reports go to
 stdout, diagnostics to stderr; files are written only when ``--out`` is
-given.  With a fixed ``--seed`` the machine-readable output is
+given.  ``evaluate`` and ``compare`` draw no random numbers; only
+``check-axioms`` reads ``--seed``, and with a fixed seed its report is
 byte-identical across runs.
 """
 
@@ -25,7 +26,6 @@ from .axioms import audit_axioms
 from .decision import decide
 from .errors import ErkitError, ModelFormatError, ModelValidationError
 from .hierarchy import (
-    CompiledModel,
     EvaluationModel,
     derive_reliabilities,
     evaluate,
@@ -73,7 +73,9 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p: argparse.ArgumentParser, formats=("table", "json", "csv")):
         p.add_argument("--format", choices=formats, default="table", help="output format")
         p.add_argument("--out", type=Path, help="write the report to this file instead of stdout")
-        p.add_argument("--seed", type=_seed, default=DEFAULT_SEED, help="random seed")
+        p.add_argument(
+            "--seed", type=_seed, default=DEFAULT_SEED, help="random seed (read by check-axioms only)"
+        )
 
     p_eval = sub.add_parser("evaluate", help="evaluate a model file")
     p_eval.add_argument("model", type=Path, help="model document (JSON)")
@@ -114,21 +116,20 @@ def _emit(text: str, out: Path | None) -> None:
 def _run_algorithms(
     model: EvaluationModel, algorithms: Iterable[str], with_trace: bool
 ) -> list[ResultDocument]:
-    """One result document per algorithm; the model is compiled once for all of them.
+    """One result document per algorithm.
 
     Node results always come from the batch.  With ``with_trace`` each
     alternative is also evaluated alone, for its per-step traces only.
     """
-    plan = CompiledModel(model)
     documents = []
     for algorithm in algorithms:
-        batch = evaluate_batch(plan, algorithm)
+        batch = evaluate_batch(model, algorithm)
         traces = None
         if with_trace:
             traces = {
                 alt: {
                     path: trace_to_json(trace, model.frame)
-                    for path, trace in evaluate(plan, algorithm, alt, with_trace=True)[1].items()
+                    for path, trace in evaluate(model, algorithm, alt, with_trace=True)[1].items()
                 }
                 for alt in model.alternatives
             }
@@ -202,6 +203,7 @@ def _render_compare_table(report: dict) -> str:
 def cmd_compare(args: argparse.Namespace) -> int:
     model = derive_reliabilities(load_model(args.model, strict=args.strict))
     documents = _run_algorithms(model, AGGREGATORS, with_trace=False)
+    del model  # frees the model and its plan before the report is built
     if args.format == "csv":
         _emit(save_results(documents, format="csv"), args.out)
         return EXIT_OK

@@ -39,7 +39,7 @@ class UtilityFunction:
         if any(b < a for a, b in zip(self.values, self.values[1:])):
             warnings.warn(
                 "utilities are not non-decreasing along the grade order",
-                stacklevel=2,
+                stacklevel=3,
             )
 
     @classmethod

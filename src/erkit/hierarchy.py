@@ -8,9 +8,10 @@ assessment) ascends into its parent's combination.  The combined result of
 a general node, including its unassigned degree, is recycled as an
 ordinary incomplete assessment one level up.
 
-Evaluation runs on a :class:`CompiledModel`: the tree walked once,
-iteratively, into a post-order plan of nodes and child positions, with
-the (reliability, importance) pair of every node under each scheme.  The
+Evaluation runs on a model's :attr:`~EvaluationModel.plan`, compiled on
+first use: the tree walked once, iteratively, into a post-order of nodes
+and child positions, with the (reliability, importance) pair of every node
+under each scheme.  The
 plan folds each general node with the kernel of :mod:`erkit.algorithms`
 (not through ``AGGREGATORS``).  :func:`evaluate_batch` folds every
 alternative at once, each column an array over the alternatives;
@@ -142,26 +143,15 @@ class EvaluationModel:
             yield path, node
             stack.extend((f"{path}/{c.name}", c) for c in reversed(node.children))
 
+    @cached_property
+    def plan(self) -> "CompiledModel":
+        """The model compiled for evaluation, built on first use and kept.
 
-def _post_order(root: AttributeNode) -> list[tuple[str, AttributeNode, list[int]]]:
-    """(path, node, child positions) for every node, children before parents.
-
-    Children keep their order.  The traversal is iterative, so depth is
-    bounded by memory, not by the interpreter's recursion limit.
-    """
-    pre = []
-    stack = [(root.name, root, -1)]
-    while stack:
-        path, node, parent = stack.pop()
-        stack.extend((f"{path}/{c.name}", c, len(pre)) for c in node.children)
-        pre.append((path, node, parent))
-    # Reversing a pre-order that visits the last child first gives the post-order.
-    last = len(pre) - 1
-    children: list[list[int]] = [[] for _ in pre]
-    for position, (_, _, parent) in enumerate(reversed(pre)):
-        if parent >= 0:
-            children[last - parent].append(position)
-    return [(path, node, kids) for (path, node, _), kids in zip(reversed(pre), children)]
+        The plan holds the tree, not the model, so the two are freed together.
+        A node's ``assessments`` must not be changed in place once the model
+        has been evaluated: the plan keeps the leaf columns it gathered.
+        """
+        return CompiledModel(self)
 
 
 def _mean(values: Sequence[float]) -> float:
@@ -177,8 +167,9 @@ def derive_reliabilities(model: EvaluationModel, strict: bool = False) -> Evalua
     the derived mean.  Idempotent.
     """
 
+    plan = model.plan
     derived: list[AttributeNode] = []
-    for path, node, kids in _post_order(model.root):
+    for path, node, kids in zip(plan.paths, plan.nodes, plan.children):
         if node.is_basic:
             if node.reliability is None:
                 raise ErkitError(f"basic attribute {path!r} has no reliability")
@@ -276,17 +267,33 @@ class CompiledModel:
 
     ``paths[i]`` and ``nodes[i]`` name the i-th node of the post-order and
     ``children[i]`` the positions of its children (empty for a basic
-    attribute), so the root comes last.  Compile a model once to fold it
-    under several schemes; the leaf columns over all alternatives are
-    gathered on first use by :func:`evaluate_batch` and kept.
+    attribute), so the root comes last.  Each model compiles one, its
+    :attr:`EvaluationModel.plan`, for every scheme; the leaf columns over
+    all alternatives are gathered on first use by :func:`evaluate_batch`
+    and kept.
     """
 
     def __init__(self, model: EvaluationModel):
-        self.model = model
-        order = _post_order(model.root)
-        self.paths = tuple(path for path, _, _ in order)
-        self.nodes = tuple(node for _, node, _ in order)
-        self.children = tuple(tuple(kids) for _, _, kids in order)
+        self.frame = model.frame
+        self.alternatives = model.alternatives
+        # Children keep their order.  The traversal is iterative, so depth is
+        # bounded by memory, not by the interpreter's recursion limit.
+        pre = []
+        stack = [(model.root.name, model.root, -1)]
+        while stack:
+            path, node, parent = stack.pop()
+            stack.extend((f"{path}/{c.name}", c, len(pre)) for c in node.children)
+            pre.append((path, node, parent))
+        # Reversing a pre-order that visits the last child first gives the post-order.
+        pre.reverse()
+        last = len(pre) - 1
+        children: list[list[int]] = [[] for _ in pre]
+        for position, (_, _, parent) in enumerate(pre):
+            if parent >= 0:
+                children[last - parent].append(position)
+        self.paths = tuple(path for path, _, _ in pre)
+        self.nodes = tuple(node for _, node, _ in pre)
+        self.children = tuple(map(tuple, children))
 
     def factors(self, algorithm: str) -> list[tuple[float, float] | None]:
         """(α, β) of every node as a child under ``algorithm``; ``None`` for the root."""
@@ -305,7 +312,7 @@ class CompiledModel:
             raise ErkitError(
                 f"basic attribute {path!r} has no assessment for {alternative!r}"
             ) from None
-        if assessment.frame is not self.model.frame and assessment.frame != self.model.frame:
+        if assessment.frame is not self.frame and assessment.frame != self.frame:
             raise FrameMismatchError(
                 f"basic attribute {path!r}: assessment for {alternative!r} uses a different frame"
             )
@@ -314,20 +321,14 @@ class CompiledModel:
     @cached_property
     def leaf_columns(self) -> dict[int, tuple[list[np.ndarray], np.ndarray]]:
         """Per basic attribute: one array over alternatives per grade, and the unassigned array."""
-        alternatives = self.model.alternatives
         out = {}
         for i, kids in enumerate(self.children):
             if kids:
                 continue
-            leaves = [self.leaf(i, alt) for alt in alternatives]
+            leaves = [self.leaf(i, alt) for alt in self.alternatives]
             degrees = np.array([a.degrees for a in leaves], dtype=float).T.copy()
             out[i] = list(degrees), np.array([a.unassigned for a in leaves], dtype=float)
         return out
-
-
-def _compiled(model: EvaluationModel | CompiledModel, algorithm: str) -> CompiledModel:
-    _scheme(algorithm)
-    return model if isinstance(model, CompiledModel) else CompiledModel(model)
 
 
 def _fold(plan: CompiledModel, algorithm: str, alternatives, leaf_columns, with_trace: bool):
@@ -367,7 +368,7 @@ def _fold(plan: CompiledModel, algorithm: str, alternatives, leaf_columns, with_
 
 
 def evaluate(
-    model: EvaluationModel | CompiledModel,
+    model: EvaluationModel,
     algorithm: str,
     alternative: str,
     with_trace: bool = False,
@@ -379,9 +380,9 @@ def evaluate(
     ``with_trace`` the per-step aggregation masses of every general node
     are returned alongside, keyed by node path.
     """
-    plan = _compiled(model, algorithm)
-    frame = plan.model.frame
-    if alternative not in plan.model.alternatives:
+    _scheme(algorithm)
+    plan = model.plan
+    if alternative not in model.alternatives:
         raise ValueError(f"unknown alternative {alternative!r}")
 
     def leaf_columns(i):
@@ -390,7 +391,7 @@ def evaluate(
 
     columns, traces = _fold(plan, algorithm, (alternative,), leaf_columns, with_trace)
     results = {
-        path: CombinedAssessment(frame, tuple(assigned), unassigned)
+        path: CombinedAssessment(model.frame, tuple(assigned), unassigned)
         for path, (assigned, unassigned) in zip(plan.paths, columns)
     }
     if with_trace:
@@ -415,7 +416,7 @@ class BatchEvaluation:
     unassigned: np.ndarray
 
 
-def evaluate_batch(model: EvaluationModel | CompiledModel, algorithm: str) -> BatchEvaluation:
+def evaluate_batch(model: EvaluationModel, algorithm: str) -> BatchEvaluation:
     """Evaluate every alternative at once, folding each general node once.
 
     Each column of the kernel is an array over the alternatives, so the
@@ -423,8 +424,9 @@ def evaluate_batch(model: EvaluationModel | CompiledModel, algorithm: str) -> Ba
     must lie in [0, 1] and sum to 1, within the tolerance
     :class:`~erkit.algorithms.CombinedAssessment` applies.
     """
-    plan = _compiled(model, algorithm)
-    alternatives = plan.model.alternatives
+    _scheme(algorithm)
+    plan = model.plan
+    alternatives = model.alternatives
     columns, _ = _fold(plan, algorithm, alternatives, plan.leaf_columns.__getitem__, False)
     assigned = np.array([a for a, _ in columns]).transpose(0, 2, 1)
     unassigned = np.array([u for _, u in columns])
@@ -437,4 +439,4 @@ def evaluate_batch(model: EvaluationModel | CompiledModel, algorithm: str) -> Ba
             f"node {plan.paths[node]!r}, alternative {alternatives[alt]!r}: combined degrees "
             "outside [0, 1] or not summing to 1"
         )
-    return BatchEvaluation(algorithm, plan.model.frame, alternatives, plan.paths, assigned, unassigned)
+    return BatchEvaluation(algorithm, model.frame, alternatives, plan.paths, assigned, unassigned)

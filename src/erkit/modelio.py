@@ -130,8 +130,6 @@ def _parse_node(
         raise ModelFormatError(f"{here}: children must be a list")
     if not isinstance(assessments_raw, Mapping):
         raise ModelFormatError(f"{here}: assessments must be an object")
-    if children_raw and assessments_raw:
-        raise ModelFormatError(f"{here}: a node cannot have both children and assessments")
     children = tuple(_parse_node(c, frame, here, strict, renormalize) for c in children_raw)
     if renormalize:
         total = sum(c.importance or 0.0 for c in children)

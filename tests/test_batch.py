@@ -15,7 +15,6 @@ from erkit import (
     AGGREGATORS,
     Assessment,
     AttributeNode,
-    CompiledModel,
     CompleteConflictError,
     EvaluationModel,
     GradeFrame,
@@ -97,9 +96,9 @@ def dst_results(model, scheme, alternative):
     return {path: (m.singletons, m.frame_mass) for path, m in out.items()}
 
 
-def assert_batch_equals_evaluate(model, batch, plan):
+def assert_batch_equals_evaluate(model, batch):
     for a, alt in enumerate(model.alternatives):
-        per = evaluate(plan, batch.algorithm, alt)
+        per = evaluate(model, batch.algorithm, alt)
         assert tuple(per) == batch.paths
         for i, path in enumerate(batch.paths):
             assert tuple(batch.assigned[i][a].tolist()) == per[path].assigned, (path, alt)
@@ -116,12 +115,11 @@ def assert_batch_equals_evaluate(model, batch, plan):
 )
 def test_batch_equals_per_alternative_and_dst(seed, depth, branching, grades, alternatives):
     model = random_model(seed, depth, branching, grades, alternatives)
-    plan = CompiledModel(model)
     for scheme in AGGREGATORS:
-        batch = evaluate_batch(plan, scheme)
+        batch = evaluate_batch(model, scheme)
         assert batch.alternatives == model.alternatives
         assert batch.paths[-1] == model.root.name
-        assert_batch_equals_evaluate(model, batch, plan)
+        assert_batch_equals_evaluate(model, batch)
         for a in sorted({0, alternatives // 2, alternatives - 1}):
             want = dst_results(model, scheme, model.alternatives[a])
             for i, path in enumerate(batch.paths):
@@ -133,9 +131,8 @@ def test_batch_equals_per_alternative_and_dst(seed, depth, branching, grades, al
 @pytest.mark.parametrize("scheme", AGGREGATORS)
 def test_batch_equals_per_alternative_on_the_motorcycle_model(scheme):
     model = derive_reliabilities(motorcycle_model())
-    plan = CompiledModel(model)
-    batch = evaluate_batch(plan, scheme)
-    assert_batch_equals_evaluate(model, batch, plan)
+    batch = evaluate_batch(model, scheme)
+    assert_batch_equals_evaluate(model, batch)
 
 
 def assert_decide_equals_the_scalar_reference(model, batch):
@@ -282,12 +279,11 @@ def test_a_3000_level_chain_has_no_recursion_limit():
     model = chain_model(3000)
     assert validate(model) == []
     model = derive_reliabilities(model)
-    plan = CompiledModel(model)
-    assert len(plan.paths) == 6001
+    assert len(model.plan.paths) == 6001
     for scheme in AGGREGATORS:
-        batch = evaluate_batch(plan, scheme)
+        batch = evaluate_batch(model, scheme)
         for a, alt in enumerate(model.alternatives):
-            root = evaluate(plan, scheme, alt)[model.root.name]
+            root = evaluate(model, scheme, alt)[model.root.name]
             assert tuple(batch.assigned[-1][a].tolist()) == root.assigned
             assert float(batch.unassigned[-1][a]) == root.unassigned
 
@@ -319,12 +315,11 @@ def reference_report(model, documents):
     """The report as ``json.dumps`` wrote the nested-dict payload before the array writer,
     node results taken from per-alternative :func:`evaluate` and the decision from
     :func:`redistribute_unknown` and :func:`expected_utility` on its root."""
-    plan = CompiledModel(model)
     payload = []
     for doc in documents:
         results = {}
         for alt in doc.alternatives:
-            per = evaluate(plan, doc.algorithm, alt)
+            per = evaluate(model, doc.algorithm, alt)
             redistributed = redistribute_unknown(per[model.root.name])
             results[alt] = {
                 "nodes": {

@@ -36,8 +36,10 @@ class TestUtilityFunction:
             UtilityFunction.from_mapping(H5, {"g0": 0.1})
 
     def test_non_monotone_warns_but_builds(self):
-        with pytest.warns(UserWarning):
+        with pytest.warns(UserWarning) as caught:
             u = UtilityFunction(H5, (0.2, 0.1, 0.6, 0.8, 1.0))
+        # The warning names the line that built the function, not the dataclass's __init__.
+        assert caught[0].filename == __file__
         assert u.of("g1") == 0.1
 
 

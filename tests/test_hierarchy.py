@@ -1,8 +1,13 @@
 """Tests for multi-level model validation and bottom-up evaluation."""
 
+import gc
+import weakref
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import erkit.hierarchy
 from erkit import (
     Assessment,
     AttributeNode,
@@ -379,3 +384,48 @@ class TestNodeHashAndRepr:
         assert text.count("AttributeNode(name='n'") == 3000
         assert text.count("AttributeNode(name='y'") == 1
         assert repr(EvaluationModel(H5, ("alt",), deep_chain(3000))).count("AttributeNode(") == 6001
+
+
+class TestPlan:
+    """A model compiles its plan once, and the plan keeps no reference back to it."""
+
+    def test_one_plan_for_every_alternative_and_scheme(self, monkeypatch):
+        built = []
+
+        class Counting(erkit.hierarchy.CompiledModel):
+            def __init__(self, model):
+                built.append(model)
+                super().__init__(model)
+
+        model = derive_reliabilities(motorcycle_model())
+        monkeypatch.setattr(erkit.hierarchy, "CompiledModel", Counting)
+        for scheme in ("oer", "mer", "e2r"):
+            evaluate_batch(model, scheme)
+            for alt in model.alternatives:
+                evaluate(model, scheme, alt)
+                evaluate(model, scheme, alt, with_trace=True)
+        assert len(built) == 1 and built[0] is model
+
+    def test_the_model_is_freed_without_the_cycle_collector(self):
+        model = derive_reliabilities(motorcycle_model())
+        evaluate_batch(model, "e2r")
+        evaluate(model, "e2r", model.alternatives[0], with_trace=True)
+        ref = weakref.ref(model)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del model
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()
+
+    def test_a_derived_or_replaced_model_compiles_its_own_plan(self):
+        model = motorcycle_model()
+        derived = derive_reliabilities(model)
+        assert derived.plan is not model.plan
+        assert derived.plan.nodes[-1] is derived.root
+        renamed = replace(derived, alternatives=derived.alternatives[::-1])
+        assert renamed.plan is not derived.plan
+        assert renamed.plan.alternatives == renamed.alternatives
+        assert not hasattr(renamed.plan, "model")

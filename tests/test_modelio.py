@@ -497,11 +497,6 @@ class TestModelFormatErrors:
                 id="lone-surrogate-alternative",
             ),
             pytest.param(
-                _mutated(lambda p: p["tree"].update(assessments={"a": {"good": 1.0}})),
-                "/root: a node cannot have both children and assessments",
-                id="children-and-assessments",
-            ),
-            pytest.param(
                 _mutated(lambda p: p["tree"]["children"][1]["assessments"].update(a=0.5)),
                 "/root/y: assessment for 'a' must be an object",
                 id="assessment-number",
@@ -560,6 +555,15 @@ class TestValidationDiagnostics:
         carried = model.root.children[0].assessments
         model = replace(model, root=replace(model.root, assessments=carried))
         assert self._diagnostics(model) == ["root: general attribute carries assessments"]
+
+    def test_children_and_assessments_in_a_file(self, tmp_path):
+        payload = json.loads(doc())
+        payload["tree"]["assessments"] = {"a": {"good": 1.0}}
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ModelValidationError) as info:
+            load_model(path)
+        assert str(info.value) == "model validation failed: root: general attribute carries assessments"
 
     def test_utility_over_another_frame(self):
         model = self._model()
