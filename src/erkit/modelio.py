@@ -8,7 +8,8 @@ stored exactly as elicited and the unassigned residual stays implicit.
 
 Result documents bundle, per algorithm, the per-node combined
 distributions, the redistributed degrees, expected utilities, the ranking,
-and (optionally) aggregation traces.  Node results have one
+and (optionally) aggregation traces, which :func:`trace_to_json` reads off
+a traced batch as alternative -> path -> steps.  Node results have one
 representation: arrays over nodes in post-order, root last, as
 :func:`~erkit.hierarchy.evaluate_batch` gives them: ``assigned`` (nodes ×
 alternatives × grades) and ``unassigned`` (nodes × alternatives), and the
@@ -42,7 +43,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .algorithms import AggregationTrace, Assessment
+from .algorithms import Assessment
 from .decision import RankedResult, UtilityFunction
 from .dst import GradeFrame
 from .errors import ModelFormatError, ModelValidationError
@@ -245,17 +246,27 @@ def save_model(model: EvaluationModel) -> str:
     return json.dumps(doc, indent=2, allow_nan=False)
 
 
-def trace_to_json(trace: AggregationTrace, frame: GradeFrame) -> list[dict]:
-    """Serialize per-step aggregation masses for reporting."""
-    return [
-        {
-            "singletons": dict(zip(frame.grades, step.singletons)),
-            "frame_mass": step.frame_mass,
-            "omega_mass": step.omega_mass,
-            "normalizer": step.normalizer,
-        }
-        for step in trace.steps
-    ]
+def trace_to_json(batch: BatchEvaluation) -> dict[str, dict[str, list[dict]]]:
+    """A traced batch's per-step aggregation masses as alternative -> path ->
+    steps, for reporting; each step's masses are read off its arrays at once."""
+    grades = batch.frame.grades
+    n = len(grades)
+    out: dict[str, dict[str, list[dict]]] = {alt: {} for alt in batch.alternatives}
+    for path, trace in batch.traces.items():
+        masses = [(*s.singletons, s.frame_mass, s.omega_mass, s.normalizer) for s in trace.steps]
+        # One (alternatives × masses) table per step; a mass all alternatives share is a float.
+        tables = [np.column_stack(np.broadcast_arrays(*m)).tolist() for m in masses]
+        for alt, rows in zip(batch.alternatives, zip(*tables)):
+            out[alt][path] = [
+                {
+                    "singletons": dict(zip(grades, row[:n])),
+                    "frame_mass": row[n],
+                    "omega_mass": row[n + 1],
+                    "normalizer": row[n + 2],
+                }
+                for row in rows
+            ]
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -321,12 +332,6 @@ class ResultDocument:
         """The root's assigned degrees and unassigned degree, one entry per alternative."""
         return self.assigned[-1].tolist(), self.unassigned[-1].tolist()
 
-    def root_distribution(self, alternative: str) -> dict:
-        i = self._column[alternative]
-        return {
-            "assigned": dict(zip(self.frame, self.assigned[-1, i].tolist())),
-            "unassigned": float(self.unassigned[-1, i]),
-        }
 
 
 class _NodeResults(Mapping):
@@ -361,20 +366,13 @@ def result_from_evaluation(
 ) -> ResultDocument:
     """Bundle one scheme's :func:`~erkit.hierarchy.evaluate_batch` arrays with
     its :func:`~erkit.decision.decide` summary and, optionally, its traces."""
-    paths, assigned, unassigned = batch.paths, batch.assigned, batch.unassigned
-    # Siblings sharing a name give one path twice.  Keep what a dict keyed
-    # by path keeps, as evaluate() does: the first position, the last row.
-    rows = {path: i for i, path in enumerate(paths)}
-    if len(rows) < len(paths):
-        paths, keep = tuple(rows), list(rows.values())
-        assigned, unassigned = assigned[keep], unassigned[keep]
     return ResultDocument(
         algorithm=batch.algorithm,
         frame=batch.frame.grades,
         alternatives=batch.alternatives,
-        paths=paths,
-        assigned=assigned,
-        unassigned=unassigned,
+        paths=batch.paths,
+        assigned=batch.assigned,
+        unassigned=batch.unassigned,
         redistributed=ranked.degrees,
         utilities=ranked.utilities,
         ranking=ranked.ranking,

@@ -16,9 +16,12 @@ from erkit import (
     Assessment,
     AttributeNode,
     CompleteConflictError,
+    ErkitError,
     EvaluationModel,
     GradeFrame,
+    TraceStep,
     UtilityFunction,
+    WeightedAssessment,
     assessment_to_bba,
     decide,
     derive_reliabilities,
@@ -29,6 +32,7 @@ from erkit import (
     extended_dempster_combine,
     importance_discount,
     load_model,
+    motorcycle_json,
     motorcycle_model,
     normalize_ibba,
     redistribute_unknown,
@@ -135,6 +139,85 @@ def test_batch_equals_per_alternative_on_the_motorcycle_model(scheme):
     assert_batch_equals_evaluate(model, batch)
 
 
+def _weighted(scheme, assessment, factors):
+    """``assessment`` carrying the node's (α, β) as the flat aggregator of ``scheme`` reads them."""
+    alpha, beta = factors
+    if scheme == "e2r":
+        return WeightedAssessment(assessment, reliability=alpha, importance=beta)
+    return WeightedAssessment(assessment, weight=alpha if scheme == "oer" else beta)
+
+
+def _step_of(step, a):
+    """Alternative ``a``'s masses in a batch trace step; a mass shared by all is a float."""
+
+    def at(x):
+        return x[a].item() if isinstance(x, np.ndarray) else x
+
+    return TraceStep(
+        tuple(map(at, step.singletons)),
+        at(step.frame_mass),
+        at(step.omega_mass),
+        at(step.normalizer),
+    )
+
+
+def assert_batch_equals_the_flat_aggregators(model):
+    """At every general node, AGGREGATORS[scheme] on the children's batch rows gives, bit for
+    bit, the node's batch row and its trace steps, alternative by alternative."""
+    plan = model.plan
+    for scheme in AGGREGATORS:
+        batch = evaluate_batch(model, scheme, with_trace=True)
+        factors = plan.factors(scheme)
+        for i, kids in enumerate(plan.children):
+            if not kids:
+                continue
+            steps = batch.traces[plan.paths[i]].steps
+            for a, alt in enumerate(model.alternatives):
+                rows = [Assessment(model.frame, tuple(batch.assigned[j, a].tolist())) for j in kids]
+                items = [_weighted(scheme, row, factors[j]) for row, j in zip(rows, kids)]
+                result, trace = AGGREGATORS[scheme](items, with_trace=True)
+                where = (scheme, plan.paths[i], alt)
+                assert result.assigned == tuple(batch.assigned[i, a].tolist()), where
+                assert result.unassigned == batch.unassigned[i, a].item(), where
+                assert trace.steps == tuple(_step_of(step, a) for step in steps), where
+
+
+def test_batch_equals_the_flat_aggregators_on_the_motorcycle_model():
+    assert_batch_equals_the_flat_aggregators(derive_reliabilities(motorcycle_model()))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    depth=st.integers(1, 3),
+    branching=st.integers(1, 4),
+    grades=st.integers(2, 5),
+    alternatives=st.integers(1, 20),
+)
+def test_batch_equals_the_flat_aggregators(seed, depth, branching, grades, alternatives):
+    assert_batch_equals_the_flat_aggregators(
+        random_model(seed, depth, branching, grades, alternatives)
+    )
+
+
+def test_a_traced_report_folds_once_per_scheme(monkeypatch, capsys, tmp_path):
+    from erkit import hierarchy
+
+    fold, schemes = hierarchy._fold, []
+
+    def counting(plan, algorithm, *args):
+        schemes.append(algorithm)
+        return fold(plan, algorithm, *args)
+
+    monkeypatch.setattr(hierarchy, "_fold", counting)
+    path = tmp_path / "motorcycle.json"
+    path.write_text(motorcycle_json(), encoding="utf-8")
+    assert main(["evaluate", "--algo", "all", "--trace", "--format", "json", str(path)]) == 0
+    assert schemes == list(AGGREGATORS)
+    (document, *_) = json.loads(capsys.readouterr().out)["documents"]
+    assert set(document["traces"]) == set(document["alternatives"])
+
+
 def assert_decide_equals_the_scalar_reference(model, batch):
     """decide on the batch's root rows gives, bit for bit, what redistribute_unknown and
     expected_utility give alternative by alternative on evaluate's root."""
@@ -200,6 +283,15 @@ def test_total_conflict_of_one_alternative_names_node_and_alternative(tmp_path, 
     assert "Traceback" not in err
 
 
+def test_evaluate_folds_one_alternative_alone():
+    """Total conflict in ``b`` neither reaches ``a`` nor goes unnamed when ``b`` is evaluated."""
+    model = derive_reliabilities(load_model(json.dumps(_conflict_document())))
+    for result in evaluate(model, "oer", "a").values():
+        assert {type(d) for d in (*result.assigned, result.unassigned)} == {float}
+    with pytest.raises(CompleteConflictError, match="at node 'root/inner' for alternative 'b'"):
+        evaluate(model, "oer", "b")
+
+
 def test_batch_conflict_error_names_the_first_failing_alternative():
     rng = np.random.default_rng(1)
     frame = frame_of(3)
@@ -237,14 +329,12 @@ def test_batch_keeps_the_combined_assessment_checks(monkeypatch, corrupt):
     kernel = hierarchy._aggregate
 
     def corrupt_third_alternative(degrees, factors, with_trace=False):
+        """Corrupt the third column of the batch, and the one column of a single alternative."""
         assigned, unassigned, steps = kernel(degrees, factors, with_trace)
-        if isinstance(unassigned, np.ndarray):
-            bad_assigned, bad_unassigned = corrupt(assigned, unassigned)
-            mask = np.arange(len(unassigned)) == 2
-            assigned = [np.where(mask, b, a) for a, b in zip(assigned, bad_assigned)]
-            unassigned = np.where(mask, bad_unassigned, unassigned)
-        else:
-            assigned, unassigned = corrupt(assigned, unassigned)
+        bad_assigned, bad_unassigned = corrupt(assigned, unassigned)
+        mask = np.arange(len(unassigned)) == (2 if len(unassigned) > 1 else 0)
+        assigned = [np.where(mask, b, a) for a, b in zip(assigned, bad_assigned)]
+        unassigned = np.where(mask, bad_unassigned, unassigned)
         return assigned, unassigned, steps
 
     monkeypatch.setattr(hierarchy, "_aggregate", corrupt_third_alternative)
@@ -384,15 +474,8 @@ def test_json_writer_rejects_non_finite_values(seed, alternatives, where, value,
         save_results(document)
 
 
-def _unique_keys(pairs):
-    keys = [k for k, _ in pairs]
-    assert len(set(keys)) == len(keys), keys
-    return dict(pairs)
-
-
-@pytest.mark.parametrize("with_trace", [False, True])
-def test_duplicate_sibling_names_write_one_key_per_path(with_trace):
-    """A model loaded unchecked with two children named x: one "root/x" key, as a dict keeps it."""
+def test_duplicate_sibling_names_are_rejected_when_the_plan_is_compiled():
+    """A model loaded unchecked with two children named x: compiling it names the repeated path."""
     leaf = {"reliability": 0.9, "importance": 0.25}
     text = json.dumps({
         "schema": "er-model/1",
@@ -405,10 +488,7 @@ def test_duplicate_sibling_names_write_one_key_per_path(with_trace):
             {"name": "z", **leaf, "assessments": {"a": {"h": 0.5}, "b": {"l": 0.5}}},
         ]},
     })
-    model = derive_reliabilities(load_model(text, check=False))
+    model = load_model(text, check=False)
     assert validate(model)
-    documents = _run_algorithms(model, AGGREGATORS, with_trace)
-    report = save_results(documents)
-    json.loads(report, object_pairs_hook=_unique_keys)
-    assert report == reference_report(model, documents)
-    assert documents[0].paths == ("root/x", "root/y", "root/z", "root")
+    with pytest.raises(ErkitError, match="two nodes share the path 'root/x'"):
+        derive_reliabilities(model)

@@ -265,7 +265,7 @@ class TestEvaluate:
 
     def test_trace_collection(self):
         model = toy_model()
-        results, traces = evaluate(model, "e2r", "alt", with_trace=True)
+        traces = evaluate_batch(model, "e2r", with_trace=True).traces
         assert set(traces) == {"root"}
         assert len(traces["root"].steps) == 2
 
@@ -401,15 +401,15 @@ class TestPlan:
         monkeypatch.setattr(erkit.hierarchy, "CompiledModel", Counting)
         for scheme in ("oer", "mer", "e2r"):
             evaluate_batch(model, scheme)
+            evaluate_batch(model, scheme, with_trace=True)
             for alt in model.alternatives:
                 evaluate(model, scheme, alt)
-                evaluate(model, scheme, alt, with_trace=True)
         assert len(built) == 1 and built[0] is model
 
     def test_the_model_is_freed_without_the_cycle_collector(self):
         model = derive_reliabilities(motorcycle_model())
-        evaluate_batch(model, "e2r")
-        evaluate(model, "e2r", model.alternatives[0], with_trace=True)
+        evaluate_batch(model, "e2r", with_trace=True)
+        evaluate(model, "e2r", model.alternatives[0])
         ref = weakref.ref(model)
         enabled = gc.isenabled()
         gc.disable()

@@ -245,7 +245,8 @@ class TestMalformedResultDocuments:
         (document,) = load_results(json.dumps(_saved_minimal_payload()))
         assert document.alternatives == ("a", "b")
         assert document.paths == ("root/x", "root/y", "root")
-        assert document.root_distribution("b") == document.root_distribution("a")
+        assigned, unassigned = document.root_rows()
+        assert (assigned[1], unassigned[1]) == (assigned[0], unassigned[0])
 
     @pytest.mark.parametrize(
         "mutate",

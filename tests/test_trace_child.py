@@ -21,8 +21,9 @@ def test_traced_e2r_run_records_the_cli_layer_spans(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     calls = Counter(span[0] for span in json.loads(spans_file.read_text())["spans"])
-    # Node results come from one batch; evaluate runs once per alternative, for the traces.
-    assert calls["hierarchy.evaluate"] == 4
+    # Node results and traces come from one traced batch, reported by one trace_to_json call.
+    assert calls["hierarchy.evaluate"] == 0
+    assert calls["modelio.trace_to_json"] == 1
     assert calls["decision.decide"] == 1
     assert calls["modelio.result_from_evaluation"] == 1
     (document,) = json.loads(report.read_text())["documents"]
