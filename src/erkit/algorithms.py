@@ -41,6 +41,8 @@ from functools import reduce
 from operator import add, mul
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .dst import CONFLICT_TOL, GradeFrame, MassFunction
 from .errors import CompleteConflictError, DegenerateMassError, FrameMismatchError, WeightSumError
 
@@ -137,7 +139,7 @@ class CombinedAssessment:
         return self.assigned[self.frame.index(grade)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TraceStep:
     """Intermediate masses after folding in one more assessment.
 
@@ -146,13 +148,21 @@ class TraceStep:
     ``normalizer`` is the conflict factor applied at this step (1 for the
     first item).  Each mass is a float in the flat aggregators; in a traced
     batch it is an array over the alternatives, or a float where every
-    alternative shares it.
+    alternative shares it.  Steps are equal when their masses are,
+    elementwise.
     """
 
     singletons: tuple[float, ...]
     frame_mass: float
     omega_mass: float
     normalizer: float
+
+    def __eq__(self, other):
+        if not isinstance(other, TraceStep):
+            return NotImplemented
+        mine = (*self.singletons, self.frame_mass, self.omega_mass, self.normalizer)
+        theirs = (*other.singletons, other.frame_mass, other.omega_mass, other.normalizer)
+        return len(mine) == len(theirs) and all(map(np.array_equal, mine, theirs))
 
 
 @dataclass(frozen=True)

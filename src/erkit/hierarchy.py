@@ -8,10 +8,17 @@ assessment) ascends into its parent's combination.  The combined result of
 a general node, including its unassigned degree, is recycled as an
 ordinary incomplete assessment one level up.
 
+A node's assessments are an :class:`AssessmentTable`: arrays of belief
+degrees and unassigned degrees, one row per alternative, over one frame,
+read as alternative -> :class:`~erkit.algorithms.Assessment` on access.
+A loaded model's tables are spans of one buffer; any other mapping of
+assessments is converted when the node is built.
+
 Evaluation runs on a model's :attr:`~EvaluationModel.plan`, compiled on
 first use: the tree walked once, iteratively, into a post-order of nodes
 and child positions, with the (reliability, importance) pair of every node
-under each scheme.  The
+under each scheme.  Its leaf columns are the tables' arrays, put in
+the model's order of alternatives by one index array per leaf.  The
 plan folds each general node with the kernel of :mod:`erkit.algorithms`
 (not through ``AGGREGATORS``).  :func:`evaluate_batch` folds every
 alternative at once, each column an array over the alternatives, and can
@@ -45,7 +52,109 @@ from .dst import GradeFrame
 from .errors import ErkitError, FrameMismatchError
 
 
-@dataclass(frozen=True, eq=False)  # nodes hold a dict, so they stay unhashable
+class AssessmentRows:
+    """Belief-degree rows, (rows × grades), and their unassigned degrees, read-only.
+
+    A loaded model keeps every assessment in one of these, which the loader
+    fills once its parse walk is done; each :class:`AssessmentTable` reads
+    its own span of rows.
+    """
+
+    __slots__ = ("degrees", "unassigned")
+
+    def __init__(self, degrees: np.ndarray, unassigned: np.ndarray):
+        self.fill(degrees, unassigned)
+
+    def fill(self, degrees: np.ndarray, unassigned: np.ndarray) -> None:
+        degrees.setflags(write=False)
+        unassigned.setflags(write=False)
+        self.degrees, self.unassigned = degrees, unassigned
+
+
+class AssessmentTable(Mapping[str, Assessment]):
+    """One attribute's assessments, alternative -> :class:`~erkit.algorithms.Assessment`,
+    held as arrays over one frame.
+
+    ``names`` lists the alternatives in the order they were given and
+    ``rows`` maps each to its row of ``degrees`` (alternatives × grades) and
+    of ``unassigned``; both arrays are read-only.  An ``Assessment`` is built
+    only when one is looked up.  ``frame`` is ``None`` for an empty table.
+    Equality compares the arrays, whatever the order of the alternatives.
+    """
+
+    def __init__(
+        self, frame: GradeFrame | None, names: tuple[str, ...], source: AssessmentRows, start: int = 0
+    ):
+        self.frame = frame
+        self.names = names
+        self._source = source
+        self._span = slice(start, start + len(names))
+
+    @classmethod
+    def of(cls, assessments: Mapping[str, Assessment]) -> "AssessmentTable":
+        """A table of the given assessments, which must share one frame."""
+        if not assessments:
+            return _EMPTY
+        names, items = tuple(assessments), tuple(assessments.values())
+        frame = items[0].frame
+        for name, item in zip(names, items):
+            if item.frame != frame:
+                raise FrameMismatchError(
+                    f"assessments for {names[0]!r} and {name!r} use different frames"
+                )
+        source = AssessmentRows(
+            np.array([a.degrees for a in items], dtype=float),
+            np.array([a.unassigned for a in items], dtype=float),
+        )
+        return cls(frame, names, source)
+
+    @property
+    def degrees(self) -> np.ndarray:
+        return self._source.degrees[self._span]
+
+    @property
+    def unassigned(self) -> np.ndarray:
+        return self._source.unassigned[self._span]
+
+    @cached_property
+    def rows(self) -> dict[str, int]:
+        return {name: i for i, name in enumerate(self.names)}
+
+    def __getitem__(self, alternative: str) -> Assessment:
+        return Assessment(self.frame, tuple(self.degrees[self.rows[alternative]].tolist()))
+
+    def __contains__(self, alternative) -> bool:
+        return alternative in self.rows
+
+    def __iter__(self):
+        return iter(self.names)
+
+    def __len__(self) -> int:
+        return len(self.names)
+
+    def __eq__(self, other):
+        if not isinstance(other, AssessmentTable):
+            return super().__eq__(other)
+        if self.names == other.names:
+            order = slice(None)
+        elif self.rows.keys() == other.rows.keys():
+            order = [other.rows[name] for name in self.names]
+        else:
+            return False
+        return not self or (
+            self.frame == other.frame
+            and np.array_equal(self.degrees, other.degrees[order])
+            and np.array_equal(self.unassigned, other.unassigned[order])
+        )
+
+    def __repr__(self):
+        return repr(dict(self.items()))
+
+
+_EMPTY = AssessmentTable(None, (), AssessmentRows(np.zeros((0, 0)), np.zeros(0)))
+
+
+@dataclass(frozen=True, eq=False)  # nodes hold a mapping, so they stay unhashable
 class AttributeNode:
     """One attribute in the evaluation hierarchy.
 
@@ -54,6 +163,8 @@ class AttributeNode:
     optionally overrides the factor used by the single-factor schemes,
     which otherwise default to the reliability (reliability-interpreted
     weights) or the importance (importance-interpreted weights).
+    ``assessments`` may be any mapping of assessments over one frame; it is
+    kept as an :class:`AssessmentTable`.
     """
 
     name: str
@@ -65,7 +176,8 @@ class AttributeNode:
 
     def __post_init__(self):
         object.__setattr__(self, "children", tuple(self.children))
-        object.__setattr__(self, "assessments", dict(self.assessments))
+        if not isinstance(self.assessments, AssessmentTable):
+            object.__setattr__(self, "assessments", AssessmentTable.of(self.assessments))
 
     def __eq__(self, other):
         """Field-wise equality, node by node along one iterative traversal."""
@@ -148,8 +260,6 @@ class EvaluationModel:
         """The model compiled for evaluation, built on first use and kept.
 
         The plan holds the tree, not the model, so the two are freed together.
-        A node's ``assessments`` must not be changed in place once the model
-        has been evaluated: the plan keeps the leaf columns it gathered.
         """
         return CompiledModel(self)
 
@@ -203,19 +313,21 @@ def validate(model: EvaluationModel) -> list[Diagnostic]:
         if node.is_basic:
             if node.reliability is None:
                 problems.append(Diagnostic(path, "basic attribute lacks a reliability"))
-            missing = [a for a in model.alternatives if a not in node.assessments]
-            if missing:
-                problems.append(Diagnostic(path, f"missing assessments for {missing}"))
-            undeclared = [a for a in node.assessments if a not in declared]
-            if undeclared:
-                problems.append(
-                    Diagnostic(path, f"assessments for undeclared alternatives {undeclared}")
-                )
-            for alt, assessment in node.assessments.items():
-                if assessment.frame != model.frame:
+            table = node.assessments
+            if table.names != model.alternatives:
+                missing = [a for a in model.alternatives if a not in table.rows]
+                if missing:
+                    problems.append(Diagnostic(path, f"missing assessments for {missing}"))
+                undeclared = [a for a in table.names if a not in declared]
+                if undeclared:
                     problems.append(
-                        Diagnostic(path, f"assessment for {alt!r} uses a different frame")
+                        Diagnostic(path, f"assessments for undeclared alternatives {undeclared}")
                     )
+            if table and table.frame != model.frame:
+                problems.extend(
+                    Diagnostic(path, f"assessment for {alt!r} uses a different frame")
+                    for alt in table.names
+                )
         else:
             if node.assessments:
                 problems.append(Diagnostic(path, "general attribute carries assessments"))
@@ -312,23 +424,27 @@ class CompiledModel:
     @cached_property
     def leaf_columns(self) -> dict[int, tuple[list[np.ndarray], np.ndarray]]:
         """Per basic attribute: one array over alternatives per grade, and the unassigned array."""
+        alternatives = self.alternatives
         out = {}
         for i, kids in enumerate(self.children):
             if kids:
                 continue
-            path, assessments = self.paths[i], self.nodes[i].assessments
-            leaves = []
-            for alt in self.alternatives:
-                assessment = assessments.get(alt)
-                if assessment is None:
-                    raise ErkitError(f"basic attribute {path!r} has no assessment for {alt!r}")
-                if assessment.frame is not self.frame and assessment.frame != self.frame:
-                    raise FrameMismatchError(
-                        f"basic attribute {path!r}: assessment for {alt!r} uses a different frame"
-                    )
-                leaves.append(assessment)
-            degrees = np.array([a.degrees for a in leaves], dtype=float).T.copy()
-            out[i] = list(degrees), np.array([a.unassigned for a in leaves], dtype=float)
+            path, table = self.paths[i], self.nodes[i].assessments
+            # One index array puts the table's rows in the model's order of alternatives.
+            if table.names == alternatives:
+                order, missing = slice(None), False
+            else:
+                order = list(map(table.rows.get, alternatives))
+                missing = None in order
+            if missing or (table.frame is not self.frame and table.frame != self.frame):
+                for alt in alternatives:  # the first alternative at fault, as the fold meets it
+                    if alt not in table:
+                        raise ErkitError(f"basic attribute {path!r} has no assessment for {alt!r}")
+                    if table.frame != self.frame:
+                        raise FrameMismatchError(
+                            f"basic attribute {path!r}: assessment for {alt!r} uses a different frame"
+                        )
+            out[i] = list(table.degrees[order].T.copy()), table.unassigned[order]
         return out
 
 

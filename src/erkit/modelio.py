@@ -5,6 +5,14 @@ Model documents are plain JSON with four top-level keys (``frame``,
 nodes carry per-alternative grade->degree maps; degrees are written as
 decimals and missing grades mean zero, so an incomplete assessment is
 stored exactly as elicited and the unassigned residual stays implicit.
+:func:`load_model` keeps them as arrays from the parse onward: the walk
+checks each attribute's degrees in bulk (types, range, per-alternative
+exactly rounded sums) and gathers them as flat lists, and one buffer per
+model is filled when the walk is done, so no per-alternative
+:class:`~erkit.algorithms.Assessment` is built.  A faulty attribute is
+checked again one alternative at a time, so the first fault is reported
+as that check words it.  :func:`save_model` writes each leaf from its
+table's rows.
 
 Result documents bundle, per algorithm, the per-node combined
 distributions, the redistributed degrees, expected utilities, the ranking,
@@ -37,23 +45,34 @@ import sys
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _escape
 from pathlib import Path
 from types import MappingProxyType
+from typing import NoReturn
 
 import numpy as np
 
-from .algorithms import Assessment
+from .algorithms import DEGREE_SUM_TOL, Assessment
 from .decision import RankedResult, UtilityFunction
 from .dst import GradeFrame
 from .errors import ModelFormatError, ModelValidationError
-from .hierarchy import AttributeNode, BatchEvaluation, EvaluationModel, validate
+from .hierarchy import (
+    AssessmentRows,
+    AssessmentTable,
+    AttributeNode,
+    BatchEvaluation,
+    EvaluationModel,
+    validate,
+)
 
 MODEL_SCHEMA = "er-model/1"
 RESULT_SCHEMA = "er-result/1"
 
 _MODEL_KEYS = {"schema", "frame", "utilities", "alternatives", "tree"}
 _NODE_KEYS = {"name", "reliability", "importance", "weight", "children", "assessments"}
+_NUMBER_TYPES = frozenset((int, float))
+_OBJECT_TYPES = frozenset((dict,))
 
 
 def _parse_json(text: str | bytes, where: str):
@@ -111,8 +130,72 @@ def _parse_factor(raw: Mapping, key: str, where: str) -> float | None:
     return _number(value, key, where)
 
 
+class _Leaves:
+    """Every assessment a model's parse walk meets, checked one attribute at a
+    time, gathered as flat lists and written into one buffer at the end."""
+
+    def __init__(self, frame: GradeFrame):
+        self.frame = frame
+        self.grade_index = {g: i for i, g in enumerate(frame.grades)}
+        self.cells: list[int] = []
+        self.values: list = []
+        self.counts: list[int] = []
+        self.sums: list[float] = []
+        self.source = AssessmentRows(np.zeros((0, frame.size)), np.zeros(0))
+
+    def add(self, raw: Mapping, here: str) -> AssessmentTable:
+        """One attribute's assessments, checked with C builtins only; on a fault
+        the per-alternative checks run again to report the first one."""
+        rows = list(raw.values())
+        lo, hi = -DEGREE_SUM_TOL, 1.0 + DEGREE_SUM_TOL
+        if _OBJECT_TYPES.issuperset(map(type, rows)):
+            grades = list(chain.from_iterable(rows))
+            values = list(chain.from_iterable(map(dict.values, rows)))
+            # Exact types: a JSON boolean is an int subclass and is not a degree.  The
+            # range check also rejects infinities and integers beyond the double range.
+            if (
+                self.grade_index.keys() >= set(grades)
+                and _NUMBER_TYPES.issuperset(map(type, values))
+                and lo <= min(values, default=0.0)
+                and max(values, default=0.0) <= hi
+            ):
+                # The exactly rounded sum Assessment.unassigned takes: padding zeros add nothing.
+                sums = list(map(math.fsum, map(dict.values, rows)))
+                if max(sums, default=0.0) <= hi:
+                    start = len(self.counts)
+                    self.cells += map(self.grade_index.__getitem__, grades)
+                    self.values += values
+                    self.counts += map(len, rows)
+                    self.sums += sums
+                    return AssessmentTable(self.frame, tuple(raw), self.source, start)
+        _raise_first_fault(raw, self.frame, here)
+
+    def fill(self) -> None:
+        """Write every gathered degree into one (assessments × grades) buffer."""
+        size = self.frame.size
+        degrees = np.zeros((len(self.counts), size))
+        starts = np.repeat(np.arange(0, degrees.size, size), self.counts)
+        degrees.ravel()[starts + np.array(self.cells, dtype=np.intp)] = self.values
+        self.source.fill(degrees, np.maximum(0.0, 1.0 - np.array(self.sums)))
+
+
+def _raise_first_fault(raw: Mapping, frame: GradeFrame, here: str) -> NoReturn:
+    """Raise the error of an attribute's first faulty assessment, checking one
+    alternative at a time."""
+    for alt, degrees in raw.items():
+        if not isinstance(degrees, Mapping):
+            raise ModelFormatError(f"{here}: assessment for {alt!r} must be an object")
+        where_alt = f"{here}: assessment for {alt!r}"
+        parsed = {g: _number(d, "belief degree", where_alt) for g, d in degrees.items()}
+        try:
+            Assessment.from_degrees(frame, parsed)
+        except Exception as exc:
+            raise ModelFormatError(f"{here}: bad assessment for {alt!r}: {exc}") from exc
+    raise AssertionError(f"{here}: the assessments failed a check that none of them fails")
+
+
 def _parse_node(
-    raw: Mapping, frame: GradeFrame, where: str, strict: bool, renormalize: bool
+    raw: Mapping, leaves: _Leaves, where: str, strict: bool, renormalize: bool
 ) -> AttributeNode:
     """One node and its subtree; with ``renormalize`` each set of siblings'
     importances is rescaled to sum to one as it is parsed."""
@@ -131,28 +214,18 @@ def _parse_node(
         raise ModelFormatError(f"{here}: children must be a list")
     if not isinstance(assessments_raw, Mapping):
         raise ModelFormatError(f"{here}: assessments must be an object")
-    children = tuple(_parse_node(c, frame, here, strict, renormalize) for c in children_raw)
+    children = tuple(_parse_node(c, leaves, here, strict, renormalize) for c in children_raw)
     if renormalize:
         total = sum(c.importance or 0.0 for c in children)
         if total > 0.0:
             children = tuple(replace(c, importance=(c.importance or 0.0) / total) for c in children)
-    assessments = {}
-    for alt, degrees in assessments_raw.items():
-        if not isinstance(degrees, Mapping):
-            raise ModelFormatError(f"{here}: assessment for {alt!r} must be an object")
-        where_alt = f"{here}: assessment for {alt!r}"
-        parsed = {g: _number(d, "belief degree", where_alt) for g, d in degrees.items()}
-        try:
-            assessments[alt] = Assessment.from_degrees(frame, parsed)
-        except Exception as exc:
-            raise ModelFormatError(f"{here}: bad assessment for {alt!r}: {exc}") from exc
     return AttributeNode(
         name=name,
         children=children,
+        assessments=leaves.add(assessments_raw, here) if assessments_raw else {},
         reliability=_parse_factor(raw, "reliability", here),
         importance=_parse_factor(raw, "importance", here),
         weight=_parse_factor(raw, "weight", here),
-        assessments=assessments,
     )
 
 
@@ -205,7 +278,9 @@ def load_model(
         except ValueError as exc:
             raise ModelFormatError(f"{where}: bad utilities: {exc}") from exc
 
-    root = _parse_node(_require(doc, "tree", where), frame, where, strict, renormalize_importances)
+    leaves = _Leaves(frame)
+    root = _parse_node(_require(doc, "tree", where), leaves, where, strict, renormalize_importances)
+    leaves.fill()
     try:
         model = EvaluationModel(frame, alternatives, root, utility)
     except ValueError as exc:
@@ -224,9 +299,11 @@ def _node_to_json(node: AttributeNode) -> dict:
         if value is not None:
             out[key] = value
     if node.is_basic:
+        table = node.assessments
+        grades = table.frame.grades if table else ()
         out["assessments"] = {
-            alt: {g: d for g, d in a.belief_degrees.items() if d != 0.0}
-            for alt, a in node.assessments.items()
+            alt: {g: d for g, d in zip(grades, row) if d != 0.0}
+            for alt, row in zip(table.names, table.degrees.tolist())
         }
     else:
         out["children"] = [_node_to_json(c) for c in node.children]
@@ -491,9 +568,6 @@ def _require_strings(mapping: Mapping, key: str, where: str) -> tuple[str, ...]:
     if not _encodes("".join(value)):
         raise ModelFormatError(f"{where}: {key} holds a string that does not encode as UTF-8")
     return tuple(value)
-
-
-_NUMBER_TYPES = frozenset((int, float))
 
 
 def _in_frame_order(degrees, frame: tuple[str, ...]) -> list | None:

@@ -218,6 +218,18 @@ def test_a_traced_report_folds_once_per_scheme(monkeypatch, capsys, tmp_path):
     assert set(document["traces"]) == set(document["alternatives"])
 
 
+def test_traces_of_two_batches_compare_elementwise():
+    model = derive_reliabilities(motorcycle_model())
+    first, second = (evaluate_batch(model, "e2r", with_trace=True).traces for _ in range(2))
+    assert first == second
+    path = next(iter(first))
+    step = first[path].steps[-1]
+    nudged = replace(step, frame_mass=step.frame_mass + np.array([0.0, 0.0, 0.0, 1e-12]))
+    second[path] = replace(second[path], steps=(*first[path].steps[:-1], nudged))
+    assert first != second
+    assert step != replace(step, singletons=step.singletons[:-1])
+
+
 def assert_decide_equals_the_scalar_reference(model, batch):
     """decide on the batch's root rows gives, bit for bit, what redistribute_unknown and
     expected_utility give alternative by alternative on evaluate's root."""

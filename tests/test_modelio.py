@@ -1,12 +1,22 @@
 """Tests for model and result serialization."""
 
+import hashlib
+import importlib.util
 import json
 from dataclasses import replace
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from erkit import (
     Assessment,
+    AttributeNode,
+    ErkitError,
+    EvaluationModel,
+    FrameMismatchError,
     GradeFrame,
     ModelFormatError,
     ModelValidationError,
@@ -21,7 +31,11 @@ from erkit import (
     validate,
 )
 from erkit.cli import _run_algorithms
-from erkit.hierarchy import derive_reliabilities
+from erkit.hierarchy import AssessmentTable, derive_reliabilities
+
+from randgen import frame_of, random_assessment
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
 
 
 MINIMAL = {
@@ -167,6 +181,26 @@ class TestSaveModel:
         engine = raw["tree"]["children"][0]
         responsiveness = engine["children"][0]
         assert responsiveness["assessments"]["Kawasaki"] == {"excellent": 0.8}
+
+    def test_motorcycle_model_text_is_pinned(self):
+        """The bundled model loaded and written back, byte for byte as recorded in
+        tests/data/golden."""
+        golden = (GOLDEN / "save_model_motorcycle.json").read_text(encoding="utf-8")
+        assert save_model(load_model(motorcycle_json())) == golden
+
+    def test_seeded_wide_model_text_is_pinned(self):
+        """The benchmark generator's seeded wide model, 125 leaves × 50 alternatives,
+        loaded and written back; pinned by length and digest, as the text is 0.8 MB."""
+        spec = importlib.util.spec_from_file_location(
+            "bench_gen", Path(__file__).parents[1] / "bench" / "gen.py"
+        )
+        gen = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(gen)
+        text = save_model(load_model(gen.to_json(gen.wide_model(7, 5, 5, 3, 50))))
+        assert len(text) == 820953
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "253315d6fef5b604d25d5d31e9405735af9360841410b1aefdab4b24d9819a32"
+        )
 
 
 class TestResultDocuments:
@@ -631,3 +665,255 @@ class TestResultDocumentHeader:
         mutate(payload)
         with pytest.raises(ModelFormatError, match=message):
             load_results(json.dumps(payload))
+
+
+def _random_document(seed):
+    """A seeded model document whose leaves list alternatives and grades in any order.
+
+    Rows are drawn as randgen draws assessments (some incomplete), some with
+    integer ``0``/``1`` degrees, some empty; a leaf may skip a declared
+    alternative or assess an undeclared one.
+    """
+    rng = np.random.default_rng(seed)
+    frame = frame_of(int(rng.integers(2, 6)))
+    alternatives = [f"a{i}" for i in range(int(rng.integers(1, 6)))]
+
+    def row():
+        kind = rng.random()
+        if kind < 0.1:
+            return {}
+        if kind < 0.3:
+            grades = [str(g) for g in rng.permutation(frame.grades)]
+            return {grades[0]: 1, **{g: 0 for g in grades[1 : int(rng.integers(1, len(grades) + 1))]}}
+        degrees = random_assessment(rng, frame).degrees
+        kept = [i for i in rng.permutation(len(degrees)) if rng.random() < 0.8]
+        return {frame.grades[i]: degrees[i] for i in kept}
+
+    leaves = []
+    for i in range(int(rng.integers(1, 5))):
+        names = [a for a in rng.permutation(alternatives) if rng.random() < 0.9]
+        if rng.random() < 0.2:
+            names.insert(int(rng.integers(0, len(names) + 1)), "stranger")
+        leaves.append(
+            {
+                "name": f"x{i}",
+                "reliability": 0.5,
+                "importance": 0.5,
+                "assessments": {str(a): row() for a in names},
+            }
+        )
+    return {
+        "schema": "er-model/1",
+        "frame": list(frame.grades),
+        "alternatives": alternatives,
+        "tree": {"name": "root", "children": leaves},
+    }
+
+
+def _bits(values):
+    return [float(v).hex() for v in values]
+
+
+def _fault_document(row):
+    """Two leaves over two alternatives; the second leaf lists its alternatives
+    out of order and its assessment of 'a' is the literal JSON ``row``."""
+    text = json.dumps(
+        {
+            "schema": "er-model/1",
+            "frame": ["bad", "good"],
+            "alternatives": ["a", "b"],
+            "tree": {
+                "name": "top",
+                "children": [
+                    {
+                        "name": "x",
+                        "reliability": 0.8,
+                        "importance": 0.5,
+                        "assessments": {"a": {"good": 0.7}, "b": {"bad": 0.1}},
+                    },
+                    {
+                        "name": "y",
+                        "reliability": 0.6,
+                        "importance": 0.5,
+                        "assessments": {"b": {"good": 0.5}, "a": "ROW"},
+                    },
+                ],
+            },
+        }
+    )
+    return text.replace('"ROW"', row)
+
+
+class TestArrayLoading:
+    """The loader fills each leaf's arrays straight from the parsed document."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_degrees_are_those_of_assessment_from_degrees(self, seed):
+        payload = _random_document(seed)
+        frame = GradeFrame(payload["frame"])
+        model = load_model(json.dumps(payload), check=False)
+        for raw, node in zip(payload["tree"]["children"], model.root.children):
+            table = node.assessments
+            assert table.names == tuple(raw["assessments"])
+            for alt, degrees in raw["assessments"].items():
+                expected = Assessment.from_degrees(frame, degrees)
+                row = table.rows[alt]
+                assert _bits(table.degrees[row]) == _bits(expected.degrees)
+                assert _bits([table.unassigned[row]]) == _bits([expected.unassigned])
+                assert node.assessments[alt] == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_leaf_columns_equal_those_of_the_model_built_in_code(self, seed):
+        payload = _random_document(seed)
+        frame = GradeFrame(payload["frame"])
+        loaded = load_model(json.dumps(payload), check=False)
+        built = EvaluationModel(
+            frame,
+            payload["alternatives"],
+            AttributeNode(
+                "root",
+                children=tuple(
+                    AttributeNode(
+                        raw["name"],
+                        reliability=0.5,
+                        importance=0.5,
+                        assessments={
+                            alt: Assessment.from_degrees(frame, d)
+                            for alt, d in raw["assessments"].items()
+                        },
+                    )
+                    for raw in payload["tree"]["children"]
+                ),
+            ),
+            loaded.utility,
+        )
+        assert loaded == built
+        assert validate(loaded) == validate(built)
+        try:
+            expected = built.plan.leaf_columns
+        except ErkitError as exc:
+            with pytest.raises(type(exc)) as info:
+                loaded.plan.leaf_columns
+            assert str(info.value) == str(exc)
+            return
+        columns = loaded.plan.leaf_columns
+        assert columns.keys() == expected.keys()
+        for i, (degrees, unassigned) in expected.items():
+            assert len(columns[i][0]) == len(degrees)
+            assert all(map(np.array_equal, columns[i][0], degrees))
+            assert np.array_equal(columns[i][1], unassigned)
+
+    def test_motorcycle_leaf_columns_equal_those_built_in_code(self):
+        model = motorcycle_model()
+        leaves = [node for _, node in model.walk() if node.is_basic]
+        assert all(isinstance(node.assessments, AssessmentTable) for node in leaves)
+        rebuilt = {id(node): dict(node.assessments) for node in leaves}
+
+        def copy(node):
+            if node.is_basic:
+                return replace(node, assessments=rebuilt[id(node)])
+            return replace(node, children=tuple(map(copy, node.children)))
+
+        built = replace(model, root=copy(model.root))
+        columns, expected = model.plan.leaf_columns, built.plan.leaf_columns
+        for i, (degrees, unassigned) in expected.items():
+            assert all(map(np.array_equal, columns[i][0], degrees))
+            assert np.array_equal(columns[i][1], unassigned)
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            pytest.param(
+                '{"bad": 0.2, "good": true}',
+                "assessment for 'a': belief degree must be a number, got True",
+                id="bool",
+            ),
+            pytest.param(
+                '{"bad": 0.2, "good": "0.5"}',
+                "assessment for 'a': belief degree must be a number, got '0.5'",
+                id="string",
+            ),
+            pytest.param(
+                '{"bad": 0.2, "good": 1e400}',
+                "assessment for 'a': belief degree must be a finite double, got inf",
+                id="1e400",
+            ),
+            pytest.param(
+                '{"bad": 0.2, "good": -1e400}',
+                "assessment for 'a': belief degree must be a finite double, got -inf",
+                id="-1e400",
+            ),
+            pytest.param(
+                '{"bad": 0.2, "good": 10000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000}',
+                "assessment for 'a': belief degree must be a finite double, got 10000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000",
+                id="overlong-integer",
+            ),
+            pytest.param(
+                '{"bad": 0.2, "good": 1.5}',
+                "bad assessment for 'a': belief degree 1.5 outside [0, 1]",
+                id="degree-above-one",
+            ),
+            pytest.param(
+                '{"bad": 0.6, "good": 0.5}',
+                "bad assessment for 'a': belief degrees sum beyond 1",
+                id="row-sum-above-one",
+            ),
+            pytest.param(
+                '{"bad": 0.2, "fair": 0.3}',
+                "bad assessment for 'a': grade 'fair' is not in the frame",
+                id="unknown-grade",
+            ),
+            pytest.param("[0.2, 0.8]", "assessment for 'a' must be an object", id="non-object"),
+        ],
+    )
+    def test_one_fault_gives_the_per_alternative_message(self, row, message):
+        with pytest.raises(ModelFormatError) as info:
+            load_model(_fault_document(row))
+        assert str(info.value) == "<text>/top/y: " + message
+
+    def test_the_first_fault_in_a_leaf_is_the_one_reported(self):
+        text = _fault_document('{"bad": 0.6, "good": 0.5}').replace('{"good": 0.5}', '{"good": true}')
+        with pytest.raises(ModelFormatError) as info:
+            load_model(text)
+        assert str(info.value) == (
+            "<text>/top/y: assessment for 'b': belief degree must be a number, got True"
+        )
+
+    def test_load_model_builds_no_assessment(self, monkeypatch):
+        built = []
+        post_init = Assessment.__post_init__
+
+        def counting(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(Assessment, "__post_init__", counting)
+        model = derive_reliabilities(load_model(motorcycle_json()))
+        model.plan.leaf_columns
+        save_model(model)
+        assert built == []
+        model.root.children[0].children[0].assessments["Kawasaki"]
+        assert len(built) == 1
+
+    def test_a_leaf_built_over_two_frames_is_refused(self):
+        other = GradeFrame(["low", "high"])
+        with pytest.raises(FrameMismatchError, match="'a' and 'b' use different frames"):
+            AttributeNode(
+                "x",
+                assessments={
+                    "a": Assessment.from_degrees(frame_of(2), {"g0": 1.0}),
+                    "b": Assessment.from_degrees(other, {"low": 1.0}),
+                },
+            )
+
+    def test_tables_are_read_only_and_equal_in_any_order(self):
+        frame = frame_of(3)
+        a, b = Assessment.from_degrees(frame, {"g0": 0.5}), Assessment.from_degrees(frame, {"g2": 1})
+        table = AttributeNode("x", assessments={"a": a, "b": b}).assessments
+        assert table == AttributeNode("x", assessments={"b": b, "a": a}).assessments
+        assert table == {"a": a, "b": b}
+        assert table != AttributeNode("x", assessments={"a": b, "b": a}).assessments
+        with pytest.raises(ValueError):
+            table.degrees[0, 0] = 1.0
