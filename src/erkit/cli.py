@@ -8,7 +8,7 @@ Exit codes: 0 success, 1 validation failure, 2 runtime aggregation failure
 (total conflict or a degenerate mass), 3 I/O failure.  Reports go to
 stdout, diagnostics to stderr; files are written only when ``--out`` is
 given.  ``evaluate`` and ``compare`` draw no random numbers; only
-``check-axioms`` reads ``--seed``, and with a fixed seed its report is
+``check-axioms`` takes ``--seed``, and with a fixed seed its report is
 byte-identical across runs.
 """
 
@@ -69,9 +69,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p: argparse.ArgumentParser, formats=("table", "json", "csv")):
         p.add_argument("--format", choices=formats, default="table", help="output format")
         p.add_argument("--out", type=Path, help="write the report to this file instead of stdout")
-        p.add_argument(
-            "--seed", type=_seed, default=DEFAULT_SEED, help="random seed (read by check-axioms only)"
-        )
 
     p_eval = sub.add_parser("evaluate", help="evaluate a model file")
     p_eval.add_argument("model", type=Path, help="model document (JSON)")
@@ -94,6 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ax.add_argument(
         "--iterations", type=_positive_int, default=1000, help="instances per axiom"
     )
+    p_ax.add_argument("--seed", type=_seed, default=DEFAULT_SEED, help="random seed")
     add_common(p_ax, formats=("table", "json"))
     p_ax.set_defaults(func=cmd_check_axioms)
 

@@ -8,11 +8,12 @@ assessment) ascends into its parent's combination.  The combined result of
 a general node, including its unassigned degree, is recycled as an
 ordinary incomplete assessment one level up.
 
-A node's assessments are an :class:`AssessmentTable`: arrays of belief
-degrees and unassigned degrees, one row per alternative, over one frame,
-read as alternative -> :class:`~erkit.algorithms.Assessment` on access.
-A loaded model's tables are spans of one buffer; any other mapping of
-assessments is converted when the node is built.
+A node's assessments are an :class:`AssessmentTable`: read-only arrays of
+belief degrees and unassigned degrees, one row per alternative, over one
+frame, read as alternative -> :class:`~erkit.algorithms.Assessment` on
+access.  A loaded model's tables are views of one buffer's rows; any other
+mapping of assessments is converted when the node is built.  A model
+without a utility function gets evenly spaced utilities.
 
 Evaluation runs on a model's :attr:`~EvaluationModel.plan`, compiled on
 first use: the tree walked once, iteratively, into a post-order of nodes
@@ -52,43 +53,27 @@ from .dst import GradeFrame
 from .errors import ErkitError, FrameMismatchError
 
 
-class AssessmentRows:
-    """Belief-degree rows, (rows × grades), and their unassigned degrees, read-only.
-
-    A loaded model keeps every assessment in one of these, which the loader
-    fills once its parse walk is done; each :class:`AssessmentTable` reads
-    its own span of rows.
-    """
-
-    __slots__ = ("degrees", "unassigned")
-
-    def __init__(self, degrees: np.ndarray, unassigned: np.ndarray):
-        self.fill(degrees, unassigned)
-
-    def fill(self, degrees: np.ndarray, unassigned: np.ndarray) -> None:
-        degrees.setflags(write=False)
-        unassigned.setflags(write=False)
-        self.degrees, self.unassigned = degrees, unassigned
-
-
 class AssessmentTable(Mapping[str, Assessment]):
     """One attribute's assessments, alternative -> :class:`~erkit.algorithms.Assessment`,
     held as arrays over one frame.
 
     ``names`` lists the alternatives in the order they were given and
     ``rows`` maps each to its row of ``degrees`` (alternatives × grades) and
-    of ``unassigned``; both arrays are read-only.  An ``Assessment`` is built
-    only when one is looked up.  ``frame`` is ``None`` for an empty table.
-    Equality compares the arrays, whatever the order of the alternatives.
+    of ``unassigned``; the table holds the two arrays as given, and they are
+    made read-only.  An ``Assessment`` is built only when one is looked up.
+    ``frame`` is ``None`` for an empty table.  Equality compares the arrays,
+    whatever the order of the alternatives.
     """
 
     def __init__(
-        self, frame: GradeFrame | None, names: tuple[str, ...], source: AssessmentRows, start: int = 0
+        self, frame: GradeFrame | None, names: tuple[str, ...], degrees: np.ndarray, unassigned: np.ndarray
     ):
+        degrees.setflags(write=False)
+        unassigned.setflags(write=False)
         self.frame = frame
         self.names = names
-        self._source = source
-        self._span = slice(start, start + len(names))
+        self.degrees = degrees
+        self.unassigned = unassigned
 
     @classmethod
     def of(cls, assessments: Mapping[str, Assessment]) -> "AssessmentTable":
@@ -102,19 +87,12 @@ class AssessmentTable(Mapping[str, Assessment]):
                 raise FrameMismatchError(
                     f"assessments for {names[0]!r} and {name!r} use different frames"
                 )
-        source = AssessmentRows(
+        return cls(
+            frame,
+            names,
             np.array([a.degrees for a in items], dtype=float),
             np.array([a.unassigned for a in items], dtype=float),
         )
-        return cls(frame, names, source)
-
-    @property
-    def degrees(self) -> np.ndarray:
-        return self._source.degrees[self._span]
-
-    @property
-    def unassigned(self) -> np.ndarray:
-        return self._source.unassigned[self._span]
 
     @cached_property
     def rows(self) -> dict[str, int]:
@@ -151,7 +129,7 @@ class AssessmentTable(Mapping[str, Assessment]):
         return repr(dict(self.items()))
 
 
-_EMPTY = AssessmentTable(None, (), AssessmentRows(np.zeros((0, 0)), np.zeros(0)))
+_EMPTY = AssessmentTable(None, (), np.zeros((0, 0)), np.zeros(0))
 
 
 @dataclass(frozen=True, eq=False)  # nodes hold a mapping, so they stay unhashable
@@ -233,7 +211,9 @@ class Diagnostic:
 
 @dataclass(frozen=True)
 class EvaluationModel:
-    """A frame, the alternatives under evaluation, and the attribute tree."""
+    """A frame, the alternatives under evaluation, the attribute tree, and the
+    utility of each grade; without a ``utility`` the grades get evenly spaced
+    utilities."""
 
     frame: GradeFrame
     alternatives: tuple[str, ...]
@@ -246,6 +226,8 @@ class EvaluationModel:
             raise ValueError("a model needs at least one alternative")
         if len(set(self.alternatives)) != len(self.alternatives):
             raise ValueError("alternative ids must be unique")
+        if self.utility is None:
+            object.__setattr__(self, "utility", UtilityFunction.evenly_spaced(self.frame))
 
     def walk(self) -> Iterator[tuple[str, AttributeNode]]:
         """Depth-first traversal yielding (path, node), parents first."""
@@ -344,7 +326,7 @@ def validate(model: EvaluationModel) -> list[Diagnostic]:
                     problems.append(
                         Diagnostic(path, f"children's importances sum to {total}, expected 1")
                     )
-    if model.utility is not None and model.utility.frame != model.frame:
+    if model.utility.frame != model.frame:
         problems.append(Diagnostic(model.root.name, "utility function uses a different frame"))
     return problems
 

@@ -5,10 +5,11 @@ Model documents are plain JSON with four top-level keys (``frame``,
 nodes carry per-alternative grade->degree maps; degrees are written as
 decimals and missing grades mean zero, so an incomplete assessment is
 stored exactly as elicited and the unassigned residual stays implicit.
-:func:`load_model` keeps them as arrays from the parse onward: the walk
-checks each attribute's degrees in bulk (types, range, per-alternative
-exactly rounded sums) and gathers them as flat lists, and one buffer per
-model is filled when the walk is done, so no per-alternative
+:func:`load_model` parses the tree in one iterative walk, in document
+order, and keeps the degrees as arrays: it checks each attribute's
+degrees in bulk (types, range, per-alternative exactly rounded sums),
+gathers them as flat lists, fills one buffer per model, and then builds
+the nodes, each table a read-only view of its rows, so no per-alternative
 :class:`~erkit.algorithms.Assessment` is built.  A faulty attribute is
 checked again one alternative at a time, so the first fault is reported
 as that check words it.  :func:`save_model` writes each leaf from its
@@ -43,7 +44,7 @@ import json
 import math
 import sys
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _escape
@@ -58,7 +59,6 @@ from .decision import RankedResult, UtilityFunction
 from .dst import GradeFrame
 from .errors import ModelFormatError, ModelValidationError
 from .hierarchy import (
-    AssessmentRows,
     AssessmentTable,
     AttributeNode,
     BatchEvaluation,
@@ -141,11 +141,11 @@ class _Leaves:
         self.values: list = []
         self.counts: list[int] = []
         self.sums: list[float] = []
-        self.source = AssessmentRows(np.zeros((0, frame.size)), np.zeros(0))
 
-    def add(self, raw: Mapping, here: str) -> AssessmentTable:
-        """One attribute's assessments, checked with C builtins only; on a fault
-        the per-alternative checks run again to report the first one."""
+    def add(self, raw: Mapping, here: str) -> slice:
+        """One attribute's assessments, checked with C builtins only, as the span
+        of buffer rows they will fill; on a fault the per-alternative checks run
+        again to report the first one."""
         rows = list(raw.values())
         lo, hi = -DEGREE_SUM_TOL, 1.0 + DEGREE_SUM_TOL
         if _OBJECT_TYPES.issuperset(map(type, rows)):
@@ -167,16 +167,17 @@ class _Leaves:
                     self.values += values
                     self.counts += map(len, rows)
                     self.sums += sums
-                    return AssessmentTable(self.frame, tuple(raw), self.source, start)
+                    return slice(start, len(self.counts))
         _raise_first_fault(raw, self.frame, here)
 
-    def fill(self) -> None:
-        """Write every gathered degree into one (assessments × grades) buffer."""
+    def fill(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every gathered degree in one (assessments × grades) buffer, and the
+        unassigned degrees."""
         size = self.frame.size
         degrees = np.zeros((len(self.counts), size))
         starts = np.repeat(np.arange(0, degrees.size, size), self.counts)
         degrees.ravel()[starts + np.array(self.cells, dtype=np.intp)] = self.values
-        self.source.fill(degrees, np.maximum(0.0, 1.0 - np.array(self.sums)))
+        return degrees, np.maximum(0.0, 1.0 - np.array(self.sums))
 
 
 def _raise_first_fault(raw: Mapping, frame: GradeFrame, here: str) -> NoReturn:
@@ -194,39 +195,58 @@ def _raise_first_fault(raw: Mapping, frame: GradeFrame, here: str) -> NoReturn:
     raise AssertionError(f"{here}: the assessments failed a check that none of them fails")
 
 
-def _parse_node(
-    raw: Mapping, leaves: _Leaves, where: str, strict: bool, renormalize: bool
-) -> AttributeNode:
-    """One node and its subtree; with ``renormalize`` each set of siblings'
-    importances is rescaled to sum to one as it is parsed."""
-    if not isinstance(raw, Mapping):
-        raise ModelFormatError(f"{where}: node must be an object")
-    _reject_unknown(raw, _NODE_KEYS, where, strict)
-    name = _require(raw, "name", where)
-    if not isinstance(name, str) or not name:
-        raise ModelFormatError(f"{where}: node name must be a non-empty string")
-    if not _encodes(name):
-        raise ModelFormatError(f"{where}: node name {name!r} does not encode as UTF-8")
-    here = f"{where}/{name}"
-    children_raw = raw.get("children", [])
-    assessments_raw = raw.get("assessments", {})
-    if not isinstance(children_raw, list):
-        raise ModelFormatError(f"{here}: children must be a list")
-    if not isinstance(assessments_raw, Mapping):
-        raise ModelFormatError(f"{here}: assessments must be an object")
-    children = tuple(_parse_node(c, leaves, here, strict, renormalize) for c in children_raw)
-    if renormalize:
-        total = sum(c.importance or 0.0 for c in children)
-        if total > 0.0:
-            children = tuple(replace(c, importance=(c.importance or 0.0) / total) for c in children)
-    return AttributeNode(
-        name=name,
-        children=children,
-        assessments=leaves.add(assessments_raw, here) if assessments_raw else {},
-        reliability=_parse_factor(raw, "reliability", here),
-        importance=_parse_factor(raw, "importance", here),
-        weight=_parse_factor(raw, "weight", here),
-    )
+def _parse_tree(raw, frame: GradeFrame, where: str, strict: bool, renormalize: bool) -> AttributeNode:
+    """The tree under ``raw``, parsed by one iterative walk; with ``renormalize``
+    each set of siblings' importances is rescaled to sum to one.
+
+    A node's fields, children list and assessments type are checked before its
+    children, its assessments and factors after them, so the first fault in
+    document order is raised.  Once the one buffer is filled, the nodes are
+    built children first, each table a view of its buffer rows.
+    """
+    leaves = _Leaves(frame)
+    records: list[tuple] = []  # post-order: name, child positions, alternatives, rows, factors
+    # A node to check (children None), or to finish once its children are (their positions).
+    stack: list = [(raw, where, [], None)]
+    while stack:
+        raw, where, siblings, kids = stack.pop()
+        if kids is None:
+            if not isinstance(raw, Mapping):
+                raise ModelFormatError(f"{where}: node must be an object")
+            _reject_unknown(raw, _NODE_KEYS, where, strict)
+            name = _require(raw, "name", where)
+            if not isinstance(name, str) or not name:
+                raise ModelFormatError(f"{where}: node name must be a non-empty string")
+            if not _encodes(name):
+                raise ModelFormatError(f"{where}: node name {name!r} does not encode as UTF-8")
+            here = f"{where}/{name}"
+            children_raw = raw.get("children", [])
+            if not isinstance(children_raw, list):
+                raise ModelFormatError(f"{here}: children must be a list")
+            if not isinstance(raw.get("assessments", {}), Mapping):
+                raise ModelFormatError(f"{here}: assessments must be an object")
+            kids = []
+            stack.append((raw, here, siblings, kids))
+            stack.extend((c, here, kids, None) for c in reversed(children_raw))
+            continue
+        assessments = raw.get("assessments", {})
+        rows = leaves.add(assessments, where) if assessments else None
+        factors = {k: _parse_factor(raw, k, where) for k in ("reliability", "importance", "weight")}
+        if renormalize:
+            shares = [records[k][-1] for k in kids]
+            total = sum(f["importance"] or 0.0 for f in shares)
+            if total > 0.0:
+                for f in shares:
+                    f["importance"] = (f["importance"] or 0.0) / total
+        siblings.append(len(records))
+        records.append((raw["name"], kids, tuple(assessments), rows, factors))
+
+    degrees, unassigned = leaves.fill()
+    built: list[AttributeNode] = []
+    for name, kids, names, rows, factors in records:
+        table = {} if rows is None else AssessmentTable(frame, names, degrees[rows], unassigned[rows])
+        built.append(AttributeNode(name, tuple(built[k] for k in kids), assessments=table, **factors))
+    return built[-1]
 
 
 def load_model(
@@ -266,9 +286,8 @@ def load_model(
     alternatives = _require_strings(doc, "alternatives", where)
 
     utilities_raw = doc.get("utilities")
-    if utilities_raw is None:
-        utility = UtilityFunction.evenly_spaced(frame)
-    else:
+    utility = None  # the model's default: evenly spaced
+    if utilities_raw is not None:
         if not isinstance(utilities_raw, Mapping):
             raise ModelFormatError(f"{where}: utilities must be an object")
         try:
@@ -278,9 +297,7 @@ def load_model(
         except ValueError as exc:
             raise ModelFormatError(f"{where}: bad utilities: {exc}") from exc
 
-    leaves = _Leaves(frame)
-    root = _parse_node(_require(doc, "tree", where), leaves, where, strict, renormalize_importances)
-    leaves.fill()
+    root = _parse_tree(_require(doc, "tree", where), frame, where, strict, renormalize_importances)
     try:
         model = EvaluationModel(frame, alternatives, root, utility)
     except ValueError as exc:
@@ -317,9 +334,8 @@ def save_model(model: EvaluationModel) -> str:
         "frame": list(model.frame.grades),
         "alternatives": list(model.alternatives),
         "tree": _node_to_json(model.root),
+        "utilities": model.utility.by_grade,
     }
-    if model.utility is not None:
-        doc["utilities"] = model.utility.by_grade
     return json.dumps(doc, indent=2, allow_nan=False)
 
 

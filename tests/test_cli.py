@@ -137,6 +137,16 @@ class TestCheckAxioms:
         assert payload["axioms"]["independence"]["holds"] == 60
 
 
+@pytest.mark.parametrize("command", ["evaluate", "compare"])
+def test_only_check_axioms_takes_a_seed(capsys, model_file, command):
+    with pytest.raises(SystemExit) as info:
+        main([command, "--seed", "1", model_file])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ")
+    assert "unrecognized arguments: --seed" in err
+
+
 class TestCompare:
     def test_contrasts_all_three_algorithms(self, capsys, model_file):
         code, out, _ = run(capsys, "compare", model_file)

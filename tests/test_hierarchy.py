@@ -17,6 +17,7 @@ from erkit import (
     FrameMismatchError,
     UtilityFunction,
     WeightedAssessment,
+    decide,
     derive_reliabilities,
     evaluate,
     evaluate_batch,
@@ -50,6 +51,16 @@ def toy_model(importances=(0.5, 0.5), reliabilities=(0.8, 0.6)):
         ),
     )
     return EvaluationModel(H5, ("alt",), root, UtilityFunction.evenly_spaced(H5))
+
+
+def test_a_model_built_without_a_utility_has_evenly_spaced_utilities():
+    model = EvaluationModel(H5, ("alt",), toy_model().root)
+    assert model.utility == UtilityFunction.evenly_spaced(H5)
+    assert validate(model) == []
+    ranked = decide(evaluate_batch(model, "e2r"), model.utility)
+    expected = decide(evaluate_batch(toy_model(), "e2r"), toy_model().utility)
+    assert ranked.utilities == expected.utilities
+    assert np.array_equal(ranked.degrees, expected.degrees)
 
 
 class TestDeriveReliabilities:

@@ -22,6 +22,7 @@ from erkit import (
     ModelValidationError,
     UtilityFunction,
     evaluate,
+    evaluate_batch,
     load_model,
     load_results,
     motorcycle_json,
@@ -174,6 +175,17 @@ class TestSaveModel:
                 b = evaluate(again, algo, alt)[model.root.name]
                 assert a.assigned == pytest.approx(b.assigned, abs=1e-12)
                 assert a.unassigned == pytest.approx(b.unassigned, abs=1e-12)
+
+    def test_a_model_built_without_a_utility_round_trips(self):
+        frame = GradeFrame(["bad", "good"])
+        leaf = AttributeNode(
+            "x", reliability=0.8, importance=1.0,
+            assessments={"a": Assessment.from_degrees(frame, {"good": 0.7})},
+        )
+        model = EvaluationModel(frame, ("a",), AttributeNode("root", children=(leaf,)))
+        text = save_model(model)
+        assert json.loads(text)["utilities"] == {"bad": 0.5, "good": 1.0}
+        assert load_model(text) == model
 
     def test_zero_degrees_are_omitted(self):
         text = save_model(motorcycle_model())
@@ -917,3 +929,70 @@ class TestArrayLoading:
         assert table != AttributeNode("x", assessments={"a": b, "b": a}).assessments
         with pytest.raises(ValueError):
             table.degrees[0, 0] = 1.0
+
+
+def _node(name, **fields):
+    return {"name": name, "reliability": 0.8, "importance": 0.5, **fields}
+
+
+def _first_fault(tree) -> str:
+    with pytest.raises(ModelFormatError) as info:
+        load_model(json.dumps({**MINIMAL, "tree": tree}))
+    return str(info.value)
+
+
+class TestParseWalk:
+    """The loader's one iterative walk: each node's fields and children list are
+    checked before its subtree, its assessments and factors after it."""
+
+    def test_a_3000_level_chain_parses_and_evaluates(self):
+        # A parsed document this deep cannot come from json.loads, whose nesting
+        # limit is far shallower, so the tree is handed to the walk as a dict.
+        from erkit.modelio import _parse_tree
+
+        frame = GradeFrame(["bad", "good"])
+        shallow, deep = {"a": {"bad": 0.3}}, {"a": {"good": 0.6, "bad": 0.1}}
+
+        def leaf(name, degrees):
+            assessments = {a: Assessment.from_degrees(frame, d) for a, d in degrees.items()}
+            return AttributeNode(name, reliability=0.8, importance=0.5, assessments=assessments)
+
+        raw, built = _node("y", assessments=deep), leaf("y", deep)
+        for _ in range(3000):
+            raw = {"name": "n", "importance": 0.5, "children": [_node("x", assessments=shallow), raw]}
+            built = AttributeNode("n", children=(leaf("x", shallow), built), importance=0.5)
+        root = _parse_tree(raw, frame, "<dict>", True, False)
+        model = derive_reliabilities(EvaluationModel(frame, ("a",), root))
+        expected = derive_reliabilities(EvaluationModel(frame, ("a",), built))
+        assert model == expected
+        assert len(model.plan.paths) == 6001
+        for scheme in ("oer", "mer", "e2r"):
+            batch, reference = evaluate_batch(model, scheme), evaluate_batch(expected, scheme)
+            assert np.array_equal(batch.assigned, reference.assigned)
+            assert np.array_equal(batch.unassigned, reference.unassigned)
+
+    def test_a_leafs_degree_is_checked_before_a_later_siblings_name(self):
+        first = _node("x", assessments={"a": {"good": "0.7"}})
+        tree = {"name": "top", "children": [first, _node(5, assessments={"a": {"good": 0.7}})]}
+        assert _first_fault(tree) == (
+            "<text>/top/x: assessment for 'a': belief degree must be a number, got '0.7'"
+        )
+        first["assessments"]["a"]["good"] = 0.7
+        assert _first_fault(tree) == "<text>/top: node name must be a non-empty string"
+
+    def test_a_childs_name_is_checked_before_its_parents_reliability(self):
+        child = _node("", assessments={"a": {"good": 0.7}})
+        tree = {"name": "top", "children": [_node("mid", reliability="high", children=[child])]}
+        assert _first_fault(tree) == "<text>/top/mid: node name must be a non-empty string"
+        child["name"] = "z"
+        assert _first_fault(tree) == "<text>/top/mid: reliability must be a number, got 'high'"
+
+    def test_tables_are_read_only_views_of_one_buffer(self):
+        tables = [node.assessments for _, node in motorcycle_model().walk() if node.is_basic]
+        first, last = tables[0], tables[-1]
+        assert first.degrees.base is last.degrees.base is not None
+        assert first.unassigned.base is last.unassigned.base is not None
+        with pytest.raises(ValueError):
+            first.degrees[0, 0] = 0.5
+        with pytest.raises(ValueError):
+            last.unassigned[0] = 0.5
