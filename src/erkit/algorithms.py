@@ -36,7 +36,7 @@ kernel as independent oracles in the test suite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import reduce
 from operator import add, mul
 from typing import Mapping, Sequence
@@ -139,6 +139,23 @@ class CombinedAssessment:
         return self.assigned[self.frame.index(grade)]
 
 
+def _values_equal(a, b) -> bool:
+    if isinstance(a, tuple) and isinstance(b, tuple):
+        return len(a) == len(b) and all(map(_values_equal, a, b))
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return np.array_equal(a, b)
+    return a == b
+
+
+def _fields_equal(self, other):
+    """Value equality for a dataclass that holds arrays: the same class and equal
+    fields, arrays compared elementwise, also inside tuples.  A class taking this
+    as its ``__eq__`` is declared ``eq=False`` and so has no ``__hash__``."""
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    return all(_values_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+
+
 @dataclass(frozen=True, eq=False)
 class TraceStep:
     """Intermediate masses after folding in one more assessment.
@@ -157,12 +174,7 @@ class TraceStep:
     omega_mass: float
     normalizer: float
 
-    def __eq__(self, other):
-        if not isinstance(other, TraceStep):
-            return NotImplemented
-        mine = (*self.singletons, self.frame_mass, self.omega_mass, self.normalizer)
-        theirs = (*other.singletons, other.frame_mass, other.omega_mass, other.normalizer)
-        return len(mine) == len(theirs) and all(map(np.array_equal, mine, theirs))
+    __eq__ = _fields_equal
 
 
 @dataclass(frozen=True)

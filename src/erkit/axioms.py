@@ -36,9 +36,6 @@ from typing import Sequence
 
 import numpy as np
 
-# Re-exported: the same dict as algorithms.AGGREGATORS, which check_axiom reads
-# through _scheme, so an entry patched here is the one check_axiom calls.
-from .algorithms import AGGREGATORS  # noqa: F401
 from .algorithms import Assessment, WeightedAssessment, _aggregate, _common_frame, _scheme
 from .dst import GradeFrame
 from .errors import AxiomInapplicableError

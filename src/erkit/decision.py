@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from operator import mul
 from typing import TYPE_CHECKING, Mapping
 
-from .algorithms import CombinedAssessment, DEGREE_SUM_TOL
+from .algorithms import CombinedAssessment, DEGREE_SUM_TOL, _fields_equal
 from .dst import GradeFrame
 from .errors import FrameMismatchError
 
@@ -93,11 +93,14 @@ def rank(utilities: Mapping[str, float]) -> list[str]:
 
 @dataclass(frozen=True, eq=False)
 class RankedResult:
-    """Decision summary: redistributed degrees (alternatives × grades), utilities, ranking."""
+    """Decision summary: redistributed degrees (alternatives × grades), utilities,
+    ranking.  Summaries are equal when their fields are, the degrees elementwise."""
 
     degrees: np.ndarray
     utilities: dict[str, float]
     ranking: tuple[str, ...]
+
+    __eq__ = _fields_equal
 
 
 def decide(batch: BatchEvaluation, utility: UtilityFunction) -> RankedResult:

@@ -46,6 +46,7 @@ from .algorithms import (
     WEIGHT_SUM_TOL,
     _aggregate,
     _check_weight_sum,
+    _fields_equal,
     _scheme,
 )
 from .decision import UtilityFunction
@@ -499,7 +500,8 @@ class BatchEvaluation:
     ``unassigned`` a (nodes × alternatives) array; nodes follow ``paths``
     (post-order, root last) and alternatives the model's order.  ``traces``
     maps each general node's path to its per-step masses, arrays over the
-    alternatives, when the batch was evaluated ``with_trace``.
+    alternatives, when the batch was evaluated ``with_trace``.  Batches are
+    equal when their fields are, arrays and trace masses elementwise.
     """
 
     algorithm: str
@@ -509,6 +511,8 @@ class BatchEvaluation:
     assigned: np.ndarray
     unassigned: np.ndarray
     traces: dict[str, AggregationTrace] | None = None
+
+    __eq__ = _fields_equal
 
 
 def evaluate_batch(

@@ -23,9 +23,11 @@ representation: arrays over nodes in post-order, root last, as
 :func:`~erkit.hierarchy.evaluate_batch` gives them: ``assigned`` (nodes ×
 alternatives × grades) and ``unassigned`` (nodes × alternatives), and the
 redistributed degrees (alternatives × grades) as :func:`~erkit.decision.decide`
-gives them.  :func:`load_results` fills them; ``node_results`` is a
-read-only alternative -> path -> distribution view built on access, and
-the table, CSV and comparison reports read the root row only.
+gives them.  :func:`load_results` fills them, and the table, CSV and
+comparison reports read the root row only.  A :class:`ResultDocument`
+checks its structural invariants when it is built, so any document that
+can be built, with finite numbers, can be saved and loaded back;
+documents compare by value.
 
 The JSON report is written straight from the arrays by one ``%`` template
 per document, so the per-node dicts are never built and the
@@ -45,16 +47,14 @@ import math
 import sys
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _escape
 from pathlib import Path
-from types import MappingProxyType
 from typing import NoReturn
 
 import numpy as np
 
-from .algorithms import DEGREE_SUM_TOL, Assessment
+from .algorithms import DEGREE_SUM_TOL, Assessment, _fields_equal
 from .decision import RankedResult, UtilityFunction
 from .dst import GradeFrame
 from .errors import ModelFormatError, ModelValidationError
@@ -369,8 +369,12 @@ class ResultDocument:
     Node results are arrays: ``assigned`` is (nodes × alternatives ×
     grades) and ``unassigned`` (nodes × alternatives), nodes following
     ``paths`` (post-order, root last) and alternatives ``alternatives``.
-    ``node_results`` reads them as alternative -> path -> distribution.
-    ``redistributed`` is (alternatives × grades).
+    ``redistributed`` is (alternatives × grades).  Every structural
+    invariant of the result schema is checked here, so a document that can
+    be built can be saved and loaded back.  Left to the writer and the
+    loader: non-finite numbers, names that do not encode as UTF-8, and
+    traces not laid out as :func:`trace_to_json` lays them out.
+    Documents are equal when their fields are, arrays elementwise.
     """
 
     algorithm: str
@@ -384,9 +388,11 @@ class ResultDocument:
     ranking: tuple[str, ...]
     traces: dict[str, dict[str, list[dict]]] | None = None
 
+    __eq__ = _fields_equal
+
     def __post_init__(self):
-        if not self.paths or not self.alternatives:
-            raise ValueError("a result document needs at least one node and one alternative")
+        if not self.frame or not self.paths or not self.alternatives:
+            raise ValueError("a result document needs at least one grade, one node and one alternative")
         shape = (len(self.paths), len(self.alternatives))
         if self.assigned.shape != (*shape, len(self.frame)) or self.unassigned.shape != shape:
             raise ValueError(
@@ -398,58 +404,18 @@ class ResultDocument:
         for name in ("frame", "alternatives", "paths"):
             if len(set(getattr(self, name))) != len(getattr(self, name)):
                 raise ValueError(f"{name} must be unique")
-
-    def __eq__(self, other):
-        if not isinstance(other, ResultDocument):
-            return NotImplemented
-        return (
-            (self.algorithm, self.frame, self.alternatives, self.paths)
-            == (other.algorithm, other.frame, other.alternatives, other.paths)
-            and (self.utilities, self.ranking, self.traces)
-            == (other.utilities, other.ranking, other.traces)
-            and np.array_equal(self.assigned, other.assigned)
-            and np.array_equal(self.unassigned, other.unassigned)
-            and np.array_equal(self.redistributed, other.redistributed)
-        )
-
-    @cached_property
-    def _column(self) -> dict[str, int]:
-        return {alt: i for i, alt in enumerate(self.alternatives)}
-
-    @property
-    def node_results(self) -> Mapping[str, Mapping[str, dict]]:
-        """alternative -> path -> distribution, read off the arrays on access."""
-        return _NodeResults(self)
+        if not all(p.startswith(self.paths[-1] + "/") for p in self.paths[:-1]):
+            raise ValueError("paths must end with the root, the path every other path extends")
+        if len(self.ranking) != len(self.alternatives) or set(self.ranking) != set(self.alternatives):
+            raise ValueError("ranking must be a permutation of the alternatives")
+        if self.utilities.keys() != set(self.alternatives):
+            raise ValueError("utilities must name exactly the alternatives")
+        if self.traces is not None:
+            object.__setattr__(self, "traces", {a: dict(t) for a, t in self.traces.items()})
 
     def root_rows(self) -> tuple[list[list[float]], list[float]]:
         """The root's assigned degrees and unassigned degree, one entry per alternative."""
         return self.assigned[-1].tolist(), self.unassigned[-1].tolist()
-
-
-
-class _NodeResults(Mapping):
-    """Read-only alternative -> path -> distribution view of a document's arrays."""
-
-    def __init__(self, doc: ResultDocument):
-        self._doc = doc
-
-    def __getitem__(self, alternative: str) -> Mapping[str, dict]:
-        doc = self._doc
-        i = doc._column[alternative]
-        return MappingProxyType(
-            {
-                path: {"assigned": dict(zip(doc.frame, row)), "unassigned": u}
-                for path, row, u in zip(
-                    doc.paths, doc.assigned[:, i].tolist(), doc.unassigned[:, i].tolist()
-                )
-            }
-        )
-
-    def __iter__(self):
-        return iter(self._doc.alternatives)
-
-    def __len__(self) -> int:
-        return len(self._doc.alternatives)
 
 
 def result_from_evaluation(
@@ -469,7 +435,7 @@ def result_from_evaluation(
         redistributed=ranked.degrees,
         utilities=ranked.utilities,
         ranking=ranked.ranking,
-        traces={a: dict(t) for a, t in traces.items()} if traces is not None else None,
+        traces=traces,
     )
 
 
@@ -647,9 +613,6 @@ def _document_from_json(raw, where: str) -> ResultDocument:
         raise ModelFormatError(f"{where}: algorithm {algorithm!r} does not encode as UTF-8")
     frame = _require_strings(raw, "frame", where)
     alternatives = _require_strings(raw, "alternatives", where)
-    for key, values in (("frame", frame), ("alternatives", alternatives)):
-        if not values or len(set(values)) != len(values):
-            raise ModelFormatError(f"{where}: {key} must be non-empty and must not repeat an entry")
     results = _require_object(raw, "results", where)
     ranking = _require_strings(raw, "ranking", where)
     traces = raw.get("traces")
@@ -658,7 +621,7 @@ def _document_from_json(raw, where: str) -> ResultDocument:
 
     paths: tuple[str, ...] = ()
     values, utilities = [], {}
-    for alt in alternatives:
+    for i, alt in enumerate(alternatives):
         if alt not in results:
             raise ModelFormatError(f"{where}: no results for alternative {alt!r}")
         here = f"{where}: results for {alt!r}"
@@ -666,12 +629,8 @@ def _document_from_json(raw, where: str) -> ResultDocument:
         if not isinstance(entry, Mapping):
             raise ModelFormatError(f"{here}: must be an object")
         nodes = _require_object(entry, "nodes", here)
-        if not paths:
+        if not i:
             paths = tuple(nodes)
-            if not paths or not all(p.startswith(paths[-1] + "/") for p in paths[:-1]):
-                raise ModelFormatError(
-                    f"{here}: nodes must end with the root, the path every other path extends"
-                )
         elif len(nodes) != len(paths) or not all(p in nodes for p in paths):
             raise ModelFormatError(f"{here}: nodes must name the same paths for every alternative")
         for path in paths:
@@ -684,8 +643,6 @@ def _document_from_json(raw, where: str) -> ResultDocument:
                 _number(d, "redistributed degree", here)  # raises for the first non-number
         values.extend(redistributed)  # one more frame-ordered block of the alternative's row
         utilities[alt] = _number(_require(entry, "utility", here), "utility", here)
-    if len(ranking) != len(alternatives) or set(ranking) != set(alternatives):
-        raise ModelFormatError(f"{where}: ranking must be a permutation of the alternatives")
 
     try:
         stacked = np.array(values, dtype=float)
@@ -700,18 +657,21 @@ def _document_from_json(raw, where: str) -> ResultDocument:
     grades, per_node = len(frame), len(paths) * (len(frame) + 1)
     stacked = stacked.reshape(len(alternatives), per_node + grades)
     node_rows = stacked[:, :per_node].reshape(len(alternatives), len(paths), grades + 1)
-    return ResultDocument(
-        algorithm=algorithm,
-        frame=frame,
-        alternatives=alternatives,
-        paths=paths,
-        assigned=node_rows[:, :, :grades].transpose(1, 0, 2),
-        unassigned=node_rows[:, :, grades].T,
-        redistributed=stacked[:, per_node:],
-        utilities=utilities,
-        ranking=ranking,
-        traces={a: dict(t) for a, t in traces.items()} if traces is not None else None,
-    )
+    try:
+        return ResultDocument(
+            algorithm=algorithm,
+            frame=frame,
+            alternatives=alternatives,
+            paths=paths,
+            assigned=node_rows[:, :, :grades].transpose(1, 0, 2),
+            unassigned=node_rows[:, :, grades].T,
+            redistributed=stacked[:, per_node:],
+            utilities=utilities,
+            ranking=ranking,
+            traces=traces,
+        )
+    except ValueError as exc:  # the checks ResultDocument makes of itself
+        raise ModelFormatError(f"{where}: {exc}") from exc
 
 
 def load_results(text: str) -> list[ResultDocument]:
@@ -756,7 +716,7 @@ def render_tables(documents: Sequence[ResultDocument]) -> str:
         blocks.append(
             f"Combined assessment ({doc.algorithm})\n" + _table(headers, rows)
         )
-    util_headers = ["Algorithm", *documents[0].alternatives]
+    util_headers = ["Algorithm", *(documents[0].alternatives if documents else ())]
     util_rows = [
         [doc.algorithm, *(f"{doc.utilities[a]:.4f}" for a in doc.alternatives)]
         for doc in documents

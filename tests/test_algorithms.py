@@ -95,6 +95,12 @@ class TestAssessment:
         with pytest.raises(ValueError):
             Assessment.from_degrees(H5, {"g0": 0.7, "g1": 0.5})
 
+    def test_one_degree_per_grade(self):
+        with pytest.raises(ValueError, match="one belief degree per grade"):
+            Assessment(H5, (0.5, 0.5))
+        with pytest.raises(ValueError, match="one combined degree per grade"):
+            CombinedAssessment(H5, (1.0,), 0.0)
+
     def test_unassigned_residual(self):
         a = Assessment.from_degrees(H5, {"g3": 0.5, "g4": 0.3})
         assert a.unassigned == pytest.approx(0.2)

@@ -11,7 +11,7 @@ from erkit import (
     check_axiom,
     generate_axiom_instance,
 )
-from erkit import axioms
+from erkit import algorithms, axioms
 from erkit.axioms import AXIOMS
 
 from randgen import frame_of
@@ -51,6 +51,10 @@ class TestHypothesisGuards:
             check_axiom("monotonicity", "oer", [certain("g0")])
         with pytest.raises(ValueError):
             check_axiom("consensus", "xxx", [certain("g0")])
+
+    def test_an_instance_needs_an_assessment(self):
+        with pytest.raises(ValueError, match="at least one assessment"):
+            check_axiom("consensus", "oer", [])
 
 
 class TestVerdicts:
@@ -211,7 +215,7 @@ class TestBatchAgainstWrappers:
         monkeypatch.setattr(axioms, "generate_axiom_instance", per_instance)
         monkeypatch.setattr(axioms, "check_axiom", per_instance)
         for scheme in SCHEMES:
-            monkeypatch.setitem(axioms.AGGREGATORS, scheme, per_instance)
+            monkeypatch.setitem(algorithms.AGGREGATORS, scheme, per_instance)
         report = audit_axioms("oer", iterations=40, seed=1)
         assert report["consensus"].violations == 40
 

@@ -230,6 +230,28 @@ def test_traces_of_two_batches_compare_elementwise():
     assert step != replace(step, singletons=step.singletons[:-1])
 
 
+@pytest.mark.parametrize("scheme", AGGREGATORS)
+def test_batches_and_decisions_compare_by_value(scheme):
+    model = derive_reliabilities(motorcycle_model())
+    first, second = (evaluate_batch(model, scheme, with_trace=True) for _ in range(2))
+    assert first == second
+    assert first != replace(second, unassigned=second.unassigned + 1e-12)
+    assert first != evaluate_batch(model, scheme)  # the same arrays without the traces
+    ranked = decide(first, model.utility)
+    assert ranked == decide(second, model.utility)
+    assert ranked != replace(ranked, degrees=ranked.degrees[::-1])
+    for record in (first, ranked):
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(record)
+
+
+def test_batches_of_two_schemes_compare_unequal():
+    model = derive_reliabilities(motorcycle_model())
+    oer, mer = evaluate_batch(model, "oer"), evaluate_batch(model, "mer")
+    assert oer != mer
+    assert replace(oer, algorithm="mer") != mer  # the arrays differ too
+
+
 def assert_decide_equals_the_scalar_reference(model, batch):
     """decide on the batch's root rows gives, bit for bit, what redistribute_unknown and
     expected_utility give alternative by alternative on evaluate's root."""

@@ -128,6 +128,12 @@ class TestCheckAxioms:
             main(["check-axioms", "--iterations", "0"])
         assert info.value.code == 2
 
+    def test_seed_beyond_64_bits_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["check-axioms", "--seed", str(2**64)])
+        assert info.value.code == 2
+        assert "seed must fit in 64 bits" in capsys.readouterr().err
+
     def test_deterministic_under_fixed_seed(self, capsys):
         args = ("check-axioms", "--algo", "oer", "--iterations", "60", "--format", "json", "--seed", "9")
         _, first, _ = run(capsys, *args)

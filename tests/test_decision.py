@@ -35,6 +35,10 @@ class TestUtilityFunction:
         with pytest.raises(ValueError):
             UtilityFunction.from_mapping(H5, {"g0": 0.1})
 
+    def test_one_utility_per_grade(self):
+        with pytest.raises(ValueError, match="one utility per grade"):
+            UtilityFunction(H5, (0.5, 1.0))
+
     def test_non_monotone_warns_but_builds(self):
         with pytest.warns(UserWarning) as caught:
             u = UtilityFunction(H5, (0.2, 0.1, 0.6, 0.8, 1.0))
@@ -148,3 +152,12 @@ class TestDecide:
         assert result.ranking == ("better", "good")
         assert result.utilities["better"] > result.utilities["good"]
         assert math.fsum(result.degrees[0]) == pytest.approx(1.0)
+
+    def test_utility_over_another_frame_rejected(self):
+        batch = BatchEvaluation(
+            "e2r", H5, ("only",), ("root",),
+            assigned=np.array([[[0.0, 0.0, 0.0, 0.0, 1.0]]]),
+            unassigned=np.array([[0.0]]),
+        )
+        with pytest.raises(ValueError, match="different frame"):
+            decide(batch, UtilityFunction.evenly_spaced(frame_of(3)))

@@ -318,6 +318,14 @@ class TestRuntimeGuards:
             self.run(kind, model, "e2r")
 
     @pytest.mark.parametrize("kind", ["single", "batch"])
+    @pytest.mark.parametrize("algorithm, factor", [("oer", "reliability"), ("mer", "importance")])
+    def test_single_factor_schemes_need_a_weight_or_their_factor(self, kind, algorithm, factor):
+        b = Assessment.from_degrees(H5, {"g2": 1.0})
+        model = self.model(AttributeNode("b", assessments={"alt": b}))
+        with pytest.raises(ErkitError, match=f"'root/b' has neither weight nor {factor}"):
+            self.run(kind, model, algorithm)
+
+    @pytest.mark.parametrize("kind", ["single", "batch"])
     @pytest.mark.parametrize("algorithm", ["oer", "mer", "e2r"])
     def test_factor_out_of_range(self, kind, algorithm):
         b = Assessment.from_degrees(H5, {"g2": 1.0})

@@ -5,6 +5,7 @@ import importlib.util
 import json
 from dataclasses import replace
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -250,6 +251,23 @@ class TestResultDocuments:
         with pytest.raises(ValueError):
             save_results(self._documents(), format="xml")
 
+    @pytest.mark.parametrize(
+        "format, text",
+        [
+            ("json", json.dumps({"schema": "er-result/1", "documents": []}, indent=2)),
+            (
+                "table",
+                "Expected utilities\nAlgorithm\n---------\n\n"
+                "Ranking orders\nAlgorithm  Ranking\n---------  -------\n",
+            ),
+            ("csv", "algorithm,alternative,grade,degree\n"),
+        ],
+    )
+    def test_no_documents(self, format, text):
+        assert save_results([], format) == text
+        if format == "json":
+            assert load_results(text) == []
+
     def test_numbers_survive_serialization_exactly(self):
         documents = self._documents()
         again = load_results(save_results(documents, format="json"))
@@ -338,13 +356,91 @@ class TestMalformedResultDocuments:
         with pytest.raises(ModelFormatError, match="result document"):
             load_results(json.dumps(payload))
 
-    def test_node_results_view_reads_the_arrays(self):
-        (document,) = load_results(json.dumps(_saved_minimal_payload()))
-        payload = _saved_minimal_payload()
-        assert dict(document.node_results["b"]) == _nodes(payload, "b")
-        assert list(document.node_results) == ["a", "b"]
-        with pytest.raises(TypeError):
-            document.node_results["a"]["root"] = {}
+
+def _motorcycle_document(with_trace=False):
+    model = derive_reliabilities(motorcycle_model())
+    (document,) = _run_algorithms(model, ("e2r",), with_trace=with_trace)
+    return document
+
+
+class TestResultDocumentInvariants:
+    """What building a result document checks, and that a document built in code loads back."""
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            pytest.param(
+                lambda d: dict(frame=(), assigned=d.assigned[:, :, :0], redistributed=d.redistributed[:, :0]),
+                "at least one grade, one node and one alternative",
+                id="no-grade",
+            ),
+            pytest.param(
+                lambda d: dict(paths=(), assigned=d.assigned[:0], unassigned=d.unassigned[:0]),
+                "at least one grade, one node and one alternative",
+                id="no-node",
+            ),
+            pytest.param(
+                lambda d: dict(
+                    alternatives=(), assigned=d.assigned[:, :0], unassigned=d.unassigned[:, :0],
+                    redistributed=d.redistributed[:0], utilities={}, ranking=(),
+                ),
+                "at least one grade, one node and one alternative",
+                id="no-alternative",
+            ),
+            pytest.param(lambda d: dict(unassigned=d.unassigned[:, :-1]), "node arrays must be", id="node-shape"),
+            pytest.param(lambda d: dict(assigned=d.assigned[:, :, :-1]), "node arrays must be", id="grade-shape"),
+            pytest.param(
+                lambda d: dict(redistributed=d.redistributed[:-1]), "redistributed degrees must be", id="redistributed-shape"
+            ),
+            pytest.param(lambda d: dict(frame=(d.frame[0],) * len(d.frame)), "frame must be unique", id="repeated-grade"),
+            pytest.param(
+                lambda d: dict(alternatives=(d.alternatives[0], *d.alternatives[:-1])),
+                "alternatives must be unique",
+                id="repeated-alternative",
+            ),
+            pytest.param(lambda d: dict(paths=(d.paths[-1],) * len(d.paths)), "paths must be unique", id="repeated-path"),
+            pytest.param(lambda d: dict(paths=d.paths[::-1]), "paths must end with the root", id="root-not-last"),
+            pytest.param(lambda d: dict(ranking=d.ranking[:-1]), "ranking must be a permutation", id="ranking-short"),
+            pytest.param(
+                lambda d: dict(ranking=(*d.ranking[:-1], "nobody")), "ranking must be a permutation", id="ranking-stranger"
+            ),
+            pytest.param(
+                lambda d: dict(ranking=(*d.ranking, d.ranking[0])), "ranking must be a permutation", id="ranking-repeat"
+            ),
+            pytest.param(
+                lambda d: dict(utilities={a: d.utilities[a] for a in d.alternatives[1:]}),
+                "utilities must name exactly the alternatives",
+                id="utilities-missing",
+            ),
+            pytest.param(
+                lambda d: dict(utilities={**d.utilities, "nobody": 0.5}),
+                "utilities must name exactly the alternatives",
+                id="utilities-extra",
+            ),
+        ],
+    )
+    def test_each_invariant_is_checked_when_built(self, changes, message):
+        document = _motorcycle_document()
+        with pytest.raises(ValueError, match=message):
+            replace(document, **changes(document))
+
+    def test_a_document_built_in_code_saves_and_loads_back(self):
+        document = _motorcycle_document()
+        reordered = replace(
+            document, ranking=document.ranking[::-1], utilities=dict(reversed(document.utilities.items()))
+        )
+        assert reordered != document
+        for format in ("json", "table", "csv"):
+            assert save_results(reordered, format)
+        assert load_results(save_results(reordered)) == [reordered]
+
+    def test_traces_are_copied_to_plain_dicts(self):
+        document = _motorcycle_document(with_trace=True)
+        proxied = {alt: MappingProxyType(by_path) for alt, by_path in document.traces.items()}
+        again = replace(document, traces=proxied)
+        assert all(type(by_path) is dict for by_path in again.traces.values())
+        assert again == document
+        assert load_results(save_results(again)) == [document]
 
 
 def _with_raw_number(payload, path, number_text: str) -> str:
