@@ -4,147 +4,69 @@ Belief-function primitives (discounting, Dempster-style combination, the
 pignistic transform), three flat aggregation algorithms for weighted
 distributed assessments, multi-level evaluation hierarchies, a decision
 layer, model serialization, and a synthesis-axiom audit harness.
+
+The package exports its public names lazily (PEP 562): ``import erkit``
+loads no submodule and not numpy.  ``from erkit import X``, ``erkit.X``
+and ``erkit.<submodule>`` import the submodule that defines ``X`` on first
+use, so code that needs only :mod:`erkit.dst` never loads the rest.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .algorithms import (
-    AGGREGATORS,
-    AggregationTrace,
-    Assessment,
-    CombinedAssessment,
-    TraceStep,
-    WeightedAssessment,
-    aggregate,
-    assessment_to_bba,
-    e2r_aggregate,
-    mer_aggregate,
-    oer_aggregate,
-)
-from .axioms import (
-    AXIOMS,
-    AxiomAuditEntry,
-    AxiomVerdict,
-    audit_axioms,
-    check_axiom,
-    generate_axiom_instance,
-)
-from .datasets import motorcycle_json, motorcycle_model
-from .decision import (
-    RankedResult,
-    UtilityFunction,
-    decide,
-    expected_utility,
-    rank,
-    redistribute_unknown,
-)
-from .dst import (
-    GeneralMassFunction,
-    GradeFrame,
-    MassFunction,
-    belief,
-    dempster_combine,
-    extended_dempster_combine,
-    generic_combine,
-    importance_discount,
-    normalize_ibba,
-    pignistic,
-    pignistic_probability,
-    plausibility,
-    reliability_discount,
-    reliability_importance_discount,
-)
-from .errors import (
-    AxiomInapplicableError,
-    CompleteConflictError,
-    DegenerateMassError,
-    ErkitError,
-    FrameMismatchError,
-    ModelFormatError,
-    ModelValidationError,
-    WeightSumError,
-)
-from .hierarchy import (
-    AssessmentTable,
-    AttributeNode,
-    BatchEvaluation,
-    Diagnostic,
-    EvaluationModel,
-    derive_reliabilities,
-    evaluate,
-    evaluate_batch,
-    validate,
-)
-from .modelio import (
-    ResultDocument,
-    load_model,
-    load_results,
-    result_from_evaluation,
-    save_model,
-    save_results,
-)
+#: Each submodule and the public names it defines; ``__all__`` is read off this table.
+_PUBLIC = {
+    "algorithms": (
+        "AGGREGATORS", "AggregationTrace", "Assessment", "CombinedAssessment", "TraceStep",
+        "WeightedAssessment", "aggregate", "assessment_to_bba", "e2r_aggregate",
+        "mer_aggregate", "oer_aggregate",
+    ),
+    "axioms": (
+        "AXIOMS", "AxiomAuditEntry", "AxiomVerdict", "audit_axioms", "check_axiom",
+        "generate_axiom_instance",
+    ),
+    "datasets": ("motorcycle_json", "motorcycle_model"),
+    "decision": (
+        "RankedResult", "UtilityFunction", "decide", "expected_utility", "rank",
+        "redistribute_unknown",
+    ),
+    "dst": (
+        "GeneralMassFunction", "GradeFrame", "MassFunction", "belief", "dempster_combine",
+        "extended_dempster_combine", "generic_combine", "importance_discount", "normalize_ibba",
+        "pignistic", "pignistic_probability", "plausibility", "reliability_discount",
+        "reliability_importance_discount",
+    ),
+    "errors": (
+        "AxiomInapplicableError", "CompleteConflictError", "DegenerateMassError", "ErkitError",
+        "FrameMismatchError", "ModelFormatError", "ModelValidationError", "WeightSumError",
+    ),
+    "hierarchy": (
+        "AssessmentTable", "AttributeNode", "BatchEvaluation", "Diagnostic", "EvaluationModel",
+        "derive_reliabilities", "evaluate", "evaluate_batch", "validate",
+    ),
+    "modelio": (
+        "ResultDocument", "load_model", "load_results", "result_from_evaluation", "save_model",
+        "save_results",
+    ),
+}
 
-__all__ = [
-    "AGGREGATORS",
-    "AXIOMS",
-    "AggregationTrace",
-    "Assessment",
-    "AssessmentTable",
-    "AttributeNode",
-    "AxiomAuditEntry",
-    "AxiomInapplicableError",
-    "AxiomVerdict",
-    "BatchEvaluation",
-    "CombinedAssessment",
-    "CompleteConflictError",
-    "DegenerateMassError",
-    "Diagnostic",
-    "ErkitError",
-    "EvaluationModel",
-    "FrameMismatchError",
-    "GeneralMassFunction",
-    "GradeFrame",
-    "MassFunction",
-    "ModelFormatError",
-    "ModelValidationError",
-    "RankedResult",
-    "ResultDocument",
-    "TraceStep",
-    "UtilityFunction",
-    "WeightSumError",
-    "WeightedAssessment",
-    "aggregate",
-    "assessment_to_bba",
-    "audit_axioms",
-    "belief",
-    "check_axiom",
-    "decide",
-    "dempster_combine",
-    "derive_reliabilities",
-    "e2r_aggregate",
-    "evaluate",
-    "evaluate_batch",
-    "expected_utility",
-    "extended_dempster_combine",
-    "generate_axiom_instance",
-    "generic_combine",
-    "importance_discount",
-    "load_model",
-    "load_results",
-    "mer_aggregate",
-    "motorcycle_json",
-    "motorcycle_model",
-    "normalize_ibba",
-    "oer_aggregate",
-    "pignistic",
-    "pignistic_probability",
-    "plausibility",
-    "rank",
-    "redistribute_unknown",
-    "reliability_discount",
-    "reliability_importance_discount",
-    "result_from_evaluation",
-    "save_model",
-    "save_results",
-    "validate",
-]
+_HOME = {name: module for module, names in _PUBLIC.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    """A public name, or a submodule, imported on first use and kept in the package."""
+    if name in _PUBLIC:
+        value = importlib.import_module(f"{__name__}.{name}")
+    elif name in _HOME:
+        value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_PUBLIC})

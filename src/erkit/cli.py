@@ -25,7 +25,7 @@ from .algorithms import AGGREGATORS
 from .axioms import audit_axioms
 from .decision import decide
 from .errors import ErkitError, ModelFormatError, ModelValidationError
-from .hierarchy import EvaluationModel, derive_reliabilities, evaluate_batch
+from .hierarchy import UNASSIGNED, EvaluationModel, derive_reliabilities, evaluate_batch
 from .hierarchy import evaluate  # noqa: F401  the benchmark's traced child wraps this name
 from .modelio import (
     ResultDocument,
@@ -75,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument(
         "--algo", choices=(*AGGREGATORS, "all"), default="e2r", help="aggregation algorithm"
     )
-    p_eval.add_argument("--trace", action="store_true", help="include per-step masses")
+    p_eval.add_argument("--trace", action="store_true", help="include per-step masses (JSON reports only)")
     p_eval.add_argument("--strict", action="store_true", help="reject unknown document fields")
     add_common(p_eval)
     p_eval.set_defaults(func=cmd_evaluate)
@@ -123,9 +123,11 @@ def _run_algorithms(
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     algorithms = tuple(AGGREGATORS) if args.algo == "all" else (args.algo,)
+    # Only the JSON report holds traces; the table and CSV reports fold without them.
+    with_trace = args.trace and args.format == "json"
     # The model is bound to no name here, so it is freed before the report is encoded.
     documents = _run_algorithms(
-        derive_reliabilities(load_model(args.model, strict=args.strict)), algorithms, args.trace
+        derive_reliabilities(load_model(args.model, strict=args.strict)), algorithms, with_trace
     )
     _emit(save_results(documents, format=args.format), args.out)
     return EXIT_OK
@@ -138,13 +140,13 @@ def _compare_report(documents: list[ResultDocument]) -> dict:
     comparison = {}
     for i, alt in enumerate(alternatives):
         dists = {
-            algo: {**dict(zip(frame, assigned[i])), "Unknown": unassigned[i]}
+            algo: {**dict(zip(frame, assigned[i])), UNASSIGNED: unassigned[i]}
             for algo, (assigned, unassigned) in roots.items()
         }
         deltas = {}
         for a, b in (("mer", "oer"), ("e2r", "oer"), ("e2r", "mer")):
             deltas[f"{a}-{b}"] = {
-                key: dists[a][key] - dists[b][key] for key in (*frame, "Unknown")
+                key: dists[a][key] - dists[b][key] for key in (*frame, UNASSIGNED)
             }
         comparison[alt] = {"distributions": dists, "deltas": deltas}
     return {
@@ -162,15 +164,15 @@ def _render_compare_table(report: dict) -> str:
     lines = []
     for alt in report["alternatives"]:
         lines.append(f"Alternative: {alt}")
-        header = ["algorithm", *frame, "Unknown"]
+        header = ["algorithm", *frame, UNASSIGNED]
         widths = [max(len(h), 11) for h in header]
         lines.append(_format_row(header, widths))
         entry = report["comparison"][alt]
         for algo, dist in entry["distributions"].items():
-            cells = [algo, *(f"{dist[key]:.4f}" for key in (*frame, "Unknown"))]
+            cells = [algo, *(f"{dist[key]:.4f}" for key in (*frame, UNASSIGNED))]
             lines.append(_format_row(cells, widths))
         for pair, delta in entry["deltas"].items():
-            cells = [pair, *(f"{delta[key]:+.4f}" for key in (*frame, "Unknown"))]
+            cells = [pair, *(f"{delta[key]:+.4f}" for key in (*frame, UNASSIGNED))]
             lines.append(_format_row(cells, widths))
         lines.append("")
     lines.append("Expected utilities")

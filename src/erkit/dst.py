@@ -165,8 +165,6 @@ class MassFunction:
         hide data errors upstream.
         """
         total = math.fsum((*self.singletons, self.frame_mass, self.omega_mass))
-        if total <= 0.0:
-            raise DegenerateMassError("cannot renormalize a zero mass function")
         return MassFunction(
             self.frame,
             tuple(v / total for v in self.singletons),

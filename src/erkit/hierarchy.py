@@ -13,7 +13,10 @@ belief degrees and unassigned degrees, one row per alternative, over one
 frame, read as alternative -> :class:`~erkit.algorithms.Assessment` on
 access.  A loaded model's tables are views of one buffer's rows; any other
 mapping of assessments is converted when the node is built.  A model
-without a utility function gets evenly spaced utilities.
+without a utility function gets evenly spaced utilities.  :func:`validate`
+reports every structural problem of a model; among them, a node name
+holding ``/`` (the path separator) and a grade named :data:`UNASSIGNED`,
+the name every report gives the unassigned degree.
 
 Evaluation runs on a model's :attr:`~EvaluationModel.plan`, compiled on
 first use: the tree walked once, iteratively, into a post-order of nodes
@@ -52,6 +55,9 @@ from .algorithms import (
 from .decision import UtilityFunction
 from .dst import GradeFrame
 from .errors import ErkitError, FrameMismatchError
+
+#: The name every report gives the unassigned degree's column; no grade may take it.
+UNASSIGNED = "Unknown"
 
 
 class AssessmentTable(Mapping[str, Assessment]):
@@ -285,6 +291,10 @@ def derive_reliabilities(model: EvaluationModel, strict: bool = False) -> Evalua
 def validate(model: EvaluationModel) -> list[Diagnostic]:
     """Collect every structural problem in the model; empty means well-formed."""
     problems: list[Diagnostic] = []
+    if UNASSIGNED in model.frame.grades:
+        problems.append(
+            Diagnostic(model.root.name, f"grade name {UNASSIGNED!r} is reserved for the unassigned degree")
+        )
     declared = set(model.alternatives)
     for path, node in model.walk():
         if "/" in node.name:

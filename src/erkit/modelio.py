@@ -42,6 +42,7 @@ reproduces the numbers bit for bit.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import sys
@@ -59,6 +60,7 @@ from .decision import RankedResult, UtilityFunction
 from .dst import GradeFrame
 from .errors import ModelFormatError, ModelValidationError
 from .hierarchy import (
+    UNASSIGNED,
     AssessmentTable,
     AttributeNode,
     BatchEvaluation,
@@ -370,10 +372,10 @@ class ResultDocument:
     grades) and ``unassigned`` (nodes × alternatives), nodes following
     ``paths`` (post-order, root last) and alternatives ``alternatives``.
     ``redistributed`` is (alternatives × grades).  Every structural
-    invariant of the result schema is checked here, so a document that can
-    be built can be saved and loaded back.  Left to the writer and the
-    loader: non-finite numbers, names that do not encode as UTF-8, and
-    traces not laid out as :func:`trace_to_json` lays them out.
+    invariant of the result schema is checked here, names that do not
+    encode as UTF-8 included, so a document that can be built can be saved
+    and loaded back.  Left to the writer and the loader: non-finite numbers,
+    and traces not laid out as :func:`trace_to_json` lays them out.
     Documents are equal when their fields are, arrays elementwise.
     """
 
@@ -402,8 +404,13 @@ class ResultDocument:
             raise ValueError("redistributed degrees must be (alternatives × grades)")
         # Grades, alternatives and paths become JSON keys; a repeat would write a key twice.
         for name in ("frame", "alternatives", "paths"):
-            if len(set(getattr(self, name))) != len(getattr(self, name)):
+            values = getattr(self, name)
+            if len(set(values)) != len(values):
                 raise ValueError(f"{name} must be unique")
+            if not _encodes("".join(values)):
+                raise ValueError(f"{name} holds a string that does not encode as UTF-8")
+        if not _encodes(self.algorithm):
+            raise ValueError(f"algorithm {self.algorithm!r} does not encode as UTF-8")
         if not all(p.startswith(self.paths[-1] + "/") for p in self.paths[:-1]):
             raise ValueError("paths must end with the root, the path every other path extends")
         if len(self.ranking) != len(self.alternatives) or set(self.ranking) != set(self.alternatives):
@@ -609,8 +616,6 @@ def _document_from_json(raw, where: str) -> ResultDocument:
     algorithm = _require(raw, "algorithm", where)
     if not isinstance(algorithm, str):
         raise ModelFormatError(f"{where}: algorithm must be a string")
-    if not _encodes(algorithm):
-        raise ModelFormatError(f"{where}: algorithm {algorithm!r} does not encode as UTF-8")
     frame = _require_strings(raw, "frame", where)
     alternatives = _require_strings(raw, "alternatives", where)
     results = _require_object(raw, "results", where)
@@ -708,7 +713,7 @@ def render_tables(documents: Sequence[ResultDocument]) -> str:
     """Aligned-text report: distributions, expected utilities, rankings."""
     blocks = []
     for doc in documents:
-        headers = ["Alternative", *doc.frame, "Unknown"]
+        headers = ["Alternative", *doc.frame, UNASSIGNED]
         rows = [
             [alt, *(f"{d:.4f}" for d in row), f"{u:.4f}"]
             for alt, row, u in zip(doc.alternatives, *doc.root_rows())
@@ -730,11 +735,18 @@ def render_tables(documents: Sequence[ResultDocument]) -> str:
 
 
 def render_csv(documents: Sequence[ResultDocument]) -> str:
-    """Long-format plot data: one row per algorithm, alternative, and grade."""
-    lines = ["algorithm,alternative,grade,degree"]
+    """Long-format plot data: one row per algorithm, alternative, and grade.
+
+    Names holding a comma, a quote or a line break are quoted as
+    :mod:`csv` quotes them; degrees are written with ``repr``.
+    """
+    import csv  # only this report needs it, so no other command loads it
+
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(("algorithm", "alternative", "grade", "degree"))
     for doc in documents:
         for alt, row, u in zip(doc.alternatives, *doc.root_rows()):
-            for g, d in zip(doc.frame, row):
-                lines.append(f"{doc.algorithm},{alt},{g},{d!r}")
-            lines.append(f"{doc.algorithm},{alt},Unknown,{u!r}")
-    return "\n".join(lines) + "\n"
+            writer.writerows((doc.algorithm, alt, g, d) for g, d in zip(doc.frame, row))
+            writer.writerow((doc.algorithm, alt, UNASSIGNED, u))
+    return out.getvalue()

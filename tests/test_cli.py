@@ -86,6 +86,19 @@ class TestEvaluate:
         traces = payload["documents"][0]["traces"]
         assert "motorcycle performance" in traces["Kawasaki"]
 
+    @pytest.mark.parametrize("format, traced", [("table", False), ("csv", False), ("json", True)])
+    def test_trace_folds_with_traces_only_for_json(self, capsys, monkeypatch, model_file, format, traced):
+        """Only the JSON report holds traces, so the table and CSV reports fold without them."""
+        calls, evaluate_batch = [], cli.evaluate_batch
+
+        def spy(model, algorithm, with_trace=False):
+            calls.append(with_trace)
+            return evaluate_batch(model, algorithm, with_trace)
+
+        monkeypatch.setattr(cli, "evaluate_batch", spy)
+        code, _, _ = run(capsys, "evaluate", "--algo", "all", "--trace", "--format", format, model_file)
+        assert (code, calls) == (EXIT_OK, [traced] * 3)
+
     def test_out_writes_file_instead_of_stdout(self, capsys, tmp_path, model_file):
         target = tmp_path / "report.json"
         code, out, _ = run(capsys, "evaluate", "--format", "json", "--out", str(target), model_file)
@@ -378,6 +391,22 @@ class TestInputsTheLoaderRejects:
         assert code == EXIT_OK
         nodes = json.loads(out)["documents"][0]["results"]["a"]["nodes"]
         assert list(nodes) == ["root/x-y", "root/x/y", "root/x", "root"]
+
+
+    @pytest.mark.parametrize("command", ["evaluate", "compare"])
+    def test_grade_named_unknown_is_validation_failure(self, capsys, tmp_path, command):
+        """Reports name the unassigned degree "Unknown", so no grade may take that name."""
+        doc = _toy_document()
+        doc["frame"] = ["l", "Unknown", "h"]
+        doc["utilities"] = {"l": 0.0, "Unknown": 0.5, "h": 1.0}
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run(capsys, command, "--format", "json", str(path))
+        assert (code, out) == (EXIT_VALIDATION, "")
+        assert err == (
+            "error: model validation failed: root: grade name 'Unknown' is reserved "
+            "for the unassigned degree\n"
+        )
 
 
 class TestExitCodeMapping:

@@ -101,6 +101,48 @@ class TestMassFunctionValidity:
         approx(math.fsum((*back.singletons, back.frame_mass, back.omega_mass)), 1.0)
 
 
+    def test_from_masses_clamps_a_residual_overshoot_within_tolerance(self):
+        m = MassFunction.from_masses(H3, {"g0": 0.7, "g1": 0.3 + 1e-12})
+        assert m.frame_mass == 0.0
+
+    def test_as_ibba_of_an_ibba_is_itself(self):
+        m = MassFunction.pure_omega(H3)
+        assert m.as_ibba() is m
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        pytest.param(lambda: H3.mask_labels(0b1000), FrameMismatchError, "does not fit", id="bitset-beyond-frame"),
+        pytest.param(
+            lambda: MassFunction(H3, (1.0, 0.0, 0.0), 0.0, kind="bpa"), ValueError, "unknown mass-function kind",
+            id="unknown-kind",
+        ),
+        pytest.param(
+            lambda: MassFunction(H3, (1.0, 0.0), 0.0), ValueError, "one singleton mass per grade", id="singleton-count"
+        ),
+        pytest.param(
+            lambda: MassFunction.pure_omega(H3).to_general(), ValueError, "only a plain BBA", id="power-set-of-ibba"
+        ),
+        pytest.param(
+            lambda: GeneralMassFunction(H3, {0b001: 1.5, 0b010: -0.5}), ValueError, "outside", id="general-mass-range"
+        ),
+        pytest.param(
+            lambda: GeneralMassFunction(H3, {0: 0.5, 0b001: 0.5}), ValueError, "empty subset", id="general-empty-subset"
+        ),
+        pytest.param(lambda: GeneralMassFunction(H3, {0b001: 0.5}), ValueError, "sum to", id="general-mass-sum"),
+    ],
+)
+def test_each_mass_function_check_raises(build, error, message):
+    with pytest.raises(error, match=message):
+        build()
+
+
+def test_from_subsets_takes_bitsets_and_grade_collections():
+    m = GeneralMassFunction.from_subsets(H3, {0b011: 0.6, H3.grades: 0.4})
+    assert m.focal_masses == {0b011: 0.6, 0b111: 0.4}
+
+
 # ---------------------------------------------------------------------------
 # belief / plausibility / pignistic
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Tests for model and result serialization."""
 
+import csv
 import hashlib
 import importlib.util
+import io
 import json
 from dataclasses import replace
 from pathlib import Path
@@ -11,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from erkit import (
     Assessment,
@@ -21,6 +24,7 @@ from erkit import (
     GradeFrame,
     ModelFormatError,
     ModelValidationError,
+    ResultDocument,
     UtilityFunction,
     evaluate,
     evaluate_batch,
@@ -247,6 +251,30 @@ class TestResultDocuments:
         # 3 algorithms x 4 alternatives x (5 grades + unknown)
         assert len(lines) == 1 + 3 * 4 * 6
 
+    def test_csv_quotes_names_with_commas_quotes_and_line_breaks(self):
+        alternatives = ("Acme, Inc.", 'the "best"\nbike')
+        document = ResultDocument(
+            algorithm="e2r, traced",
+            frame=("bad, really", 'good "enough"'),
+            alternatives=alternatives,
+            paths=("root",),
+            assigned=np.array([[[0.25, 0.5], [0.125, 0.75]]]),
+            unassigned=np.array([[0.25, 0.125]]),
+            redistributed=np.zeros((2, 2)),
+            utilities=dict.fromkeys(alternatives, 0.5),
+            ranking=alternatives,
+        )
+        rows = list(csv.reader(io.StringIO(save_results(document, format="csv"))))
+        assert rows == [
+            ["algorithm", "alternative", "grade", "degree"],
+            ["e2r, traced", "Acme, Inc.", "bad, really", "0.25"],
+            ["e2r, traced", "Acme, Inc.", 'good "enough"', "0.5"],
+            ["e2r, traced", "Acme, Inc.", "Unknown", "0.25"],
+            ["e2r, traced", 'the "best"\nbike', "bad, really", "0.125"],
+            ["e2r, traced", 'the "best"\nbike', 'good "enough"', "0.75"],
+            ["e2r, traced", 'the "best"\nbike', "Unknown", "0.125"],
+        ]
+
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError):
             save_results(self._documents(), format="xml")
@@ -299,6 +327,12 @@ def _rename_b(payload, name):
         document[key] = [name if a == "b" else a for a in document[key]]
 
 
+def _rename_path(payload, old, new):
+    for alt in ("a", "b"):
+        results = payload["documents"][0]["results"][alt]
+        results["nodes"] = {new if path == old else path: node for path, node in results["nodes"].items()}
+
+
 def _root_first(payload):
     nodes = _nodes(payload)
     payload["documents"][0]["results"]["a"]["nodes"] = {"root": nodes.pop("root"), **nodes}
@@ -348,6 +382,7 @@ class TestMalformedResultDocuments:
             pytest.param(lambda p: p["documents"][0].update(ranking=["nobody"]), id="ranking-not-a-permutation"),
             pytest.param(lambda p: _rename_b(p, "\ud800"), id="lone-surrogate-alternative"),
             pytest.param(lambda p: p["documents"][0].update(algorithm="\ud800"), id="lone-surrogate-algorithm"),
+            pytest.param(lambda p: _rename_path(p, "root/x", "root/\ud800"), id="lone-surrogate-path"),
         ],
     )
     def test_every_schema_point_raises_model_format_error(self, mutate):
@@ -361,6 +396,32 @@ def _motorcycle_document(with_trace=False):
     model = derive_reliabilities(motorcycle_model())
     (document,) = _run_algorithms(model, ("e2r",), with_trace=with_trace)
     return document
+
+
+# Every code point, lone surrogates included, and often the characters a writer must escape.
+_NAMES = st.text(st.characters(exclude_categories=()) | st.sampled_from(',"%/\n'), min_size=1, max_size=6)
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _result_fields(draw):
+    """The fields of a result document without traces: arbitrary names, finite numbers."""
+    frame = tuple(draw(st.lists(_NAMES, min_size=1, max_size=4, unique=True)))
+    alternatives = tuple(draw(st.lists(_NAMES, min_size=1, max_size=4, unique=True)))
+    root = draw(_NAMES)
+    paths = (*(f"{root}/{n}" for n in draw(st.lists(_NAMES, max_size=3, unique=True))), root)
+    shape = (len(paths), len(alternatives))
+    return dict(
+        algorithm=draw(_NAMES),
+        frame=frame,
+        alternatives=alternatives,
+        paths=paths,
+        assigned=draw(arrays(np.float64, (*shape, len(frame)), elements=_FINITE)),
+        unassigned=draw(arrays(np.float64, shape, elements=_FINITE)),
+        redistributed=draw(arrays(np.float64, (len(alternatives), len(frame)), elements=_FINITE)),
+        utilities={alt: draw(_FINITE) for alt in alternatives},
+        ranking=tuple(draw(st.permutations(alternatives))),
+    )
 
 
 class TestResultDocumentInvariants:
@@ -417,6 +478,24 @@ class TestResultDocumentInvariants:
                 "utilities must name exactly the alternatives",
                 id="utilities-extra",
             ),
+            pytest.param(
+                lambda d: dict(algorithm="\ud800"), r"algorithm '\\ud800' does not encode as UTF-8", id="surrogate-algorithm"
+            ),
+            pytest.param(
+                lambda d: dict(frame=("\ud800", *d.frame[1:])),
+                "frame holds a string that does not encode as UTF-8",
+                id="surrogate-grade",
+            ),
+            pytest.param(
+                lambda d: dict(alternatives=(*d.alternatives[:-1], "\udc00")),
+                "alternatives holds a string that does not encode as UTF-8",
+                id="surrogate-alternative",
+            ),
+            pytest.param(
+                lambda d: dict(paths=(*d.paths[:-1], d.paths[-1] + "\ud800")),
+                "paths holds a string that does not encode as UTF-8",
+                id="surrogate-path",
+            ),
         ],
     )
     def test_each_invariant_is_checked_when_built(self, changes, message):
@@ -433,6 +512,17 @@ class TestResultDocumentInvariants:
         for format in ("json", "table", "csv"):
             assert save_results(reordered, format)
         assert load_results(save_results(reordered)) == [reordered]
+
+    @settings(max_examples=80, deadline=None)
+    @given(fields=_result_fields())
+    def test_every_document_that_builds_loads_back(self, fields):
+        """Built means loadable: a name the loader would refuse is refused when the document is built."""
+        try:
+            document = ResultDocument(**fields)
+        except ValueError as exc:
+            assert "does not encode as UTF-8" in str(exc)
+            return
+        assert load_results(save_results([document])) == [document]
 
     def test_traces_are_copied_to_plain_dicts(self):
         document = _motorcycle_document(with_trace=True)
@@ -712,6 +802,15 @@ class TestValidationDiagnostics:
         model = self._model()
         model = replace(model, utility=UtilityFunction.evenly_spaced(GradeFrame(["low", "high"])))
         assert self._diagnostics(model) == ["root: utility function uses a different frame"]
+
+    def test_grade_named_unknown(self):
+        """Every report names the unassigned degree "Unknown"; a grade of that name would be lost."""
+        frame = GradeFrame(["bad", "Unknown", "good"])
+        leaf = AttributeNode(
+            "x", reliability=0.8, importance=1.0, assessments={"a": Assessment.from_degrees(frame, {"good": 0.7})}
+        )
+        model = EvaluationModel(frame, ("a",), AttributeNode("root", (leaf,)))
+        assert self._diagnostics(model) == ["root: grade name 'Unknown' is reserved for the unassigned degree"]
 
     def test_node_name_with_a_slash(self):
         payload = json.loads(doc())
