@@ -25,8 +25,8 @@ from .algorithms import AGGREGATORS
 from .axioms import audit_axioms
 from .decision import decide
 from .errors import ErkitError, ModelFormatError, ModelValidationError
-from .hierarchy import UNASSIGNED, EvaluationModel, derive_reliabilities, evaluate_batch
-from .hierarchy import evaluate  # noqa: F401  the benchmark's traced child wraps this name
+from .hierarchy import UNASSIGNED, EvaluationModel, evaluate_batch
+from .hierarchy import derive_reliabilities, evaluate  # noqa: F401  the benchmark's hooks read these names
 from .modelio import (
     ResultDocument,
     _format_row,
@@ -126,9 +126,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     # Only the JSON report holds traces; the table and CSV reports fold without them.
     with_trace = args.trace and args.format == "json"
     # The model is bound to no name here, so it is freed before the report is encoded.
-    documents = _run_algorithms(
-        derive_reliabilities(load_model(args.model, strict=args.strict)), algorithms, with_trace
-    )
+    documents = _run_algorithms(load_model(args.model, strict=args.strict), algorithms, with_trace)
     _emit(save_results(documents, format=args.format), args.out)
     return EXIT_OK
 
@@ -186,7 +184,7 @@ def _render_compare_table(report: dict) -> str:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    model = derive_reliabilities(load_model(args.model, strict=args.strict))
+    model = load_model(args.model, strict=args.strict)
     documents = _run_algorithms(model, AGGREGATORS, with_trace=False)
     del model  # frees the model and its plan before the report is built
     if args.format == "csv":

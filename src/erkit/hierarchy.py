@@ -21,20 +21,24 @@ the name every report gives the unassigned degree.
 Evaluation runs on a model's :attr:`~EvaluationModel.plan`, compiled on
 first use: the tree walked once, iteratively, into a post-order of nodes
 and child positions, with the (reliability, importance) pair of every node
-under each scheme.  Its leaf columns are the tables' arrays, put in
-the model's order of alternatives by one index array per leaf.  The
-plan folds each general node with the kernel of :mod:`erkit.algorithms`
-(not through ``AGGREGATORS``).  :func:`evaluate_batch` folds every
-alternative at once, each column an array over the alternatives, and can
-keep the per-step traces; :func:`evaluate` is the same fold on one
-alternative's column.  Every kernel step is elementwise and its sums run in
-a fixed order, so the two agree bit for bit.  Traversals are iterative:
-tree depth is bounded by memory, not by the recursion limit.
+under each scheme.  Compiling runs :func:`validate`, the one model check
+on the evaluation path, and takes an omitted general-node reliability as
+its children's mean, which :func:`derive_reliabilities` writes into the
+tree.  Its leaf columns are the tables' arrays, put in the model's order
+of alternatives by one index array per leaf.  The plan folds each general
+node with the kernel of :mod:`erkit.algorithms` (not through
+``AGGREGATORS``).  :func:`evaluate_batch` folds every alternative at once,
+each column an array over the alternatives, and can keep the per-step
+traces; :func:`evaluate` is the same fold on one alternative's column.
+Every kernel step is elementwise and its sums run in a fixed order, so the
+two agree bit for bit.  Traversals are iterative: tree depth is bounded by
+memory, not by the recursion limit.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Iterator, Mapping, Sequence
@@ -54,7 +58,7 @@ from .algorithms import (
 )
 from .decision import UtilityFunction
 from .dst import GradeFrame
-from .errors import ErkitError, FrameMismatchError
+from .errors import ErkitError, FrameMismatchError, ModelValidationError
 
 #: The name every report gives the unassigned degree's column; no grade may take it.
 UNASSIGNED = "Unknown"
@@ -246,7 +250,8 @@ class EvaluationModel:
 
     @cached_property
     def plan(self) -> "CompiledModel":
-        """The model compiled for evaluation, built on first use and kept.
+        """The model compiled for evaluation, built on first use and kept; a model
+        :func:`validate` refuses raises :class:`~erkit.errors.ModelValidationError`.
 
         The plan holds the tree, not the model, so the two are freed together.
         """
@@ -258,33 +263,26 @@ def _mean(values: Sequence[float]) -> float:
 
 
 def derive_reliabilities(model: EvaluationModel, strict: bool = False) -> EvaluationModel:
-    """Fill in missing general-node reliabilities as their children's mean.
+    """The model with every general-node reliability its plan evaluates with.
 
-    Works bottom-up, so a general node's reliability is the mean of its
-    children's (possibly themselves derived) reliabilities.  Explicit
-    values are kept; with ``strict`` they are additionally checked against
-    the derived mean.  Idempotent.
+    A missing one is the mean of its children's (possibly themselves
+    derived) reliabilities.  Explicit values are kept; with ``strict`` they
+    are additionally checked against that mean.  Idempotent.
     """
-
     plan = model.plan
     derived: list[AttributeNode] = []
-    for path, node, kids in zip(plan.paths, plan.nodes, plan.children):
-        if node.is_basic:
-            if node.reliability is None:
-                raise ErkitError(f"basic attribute {path!r} has no reliability")
+    for path, node, kids, reliability in zip(plan.paths, plan.nodes, plan.children, plan.reliabilities):
+        if not kids:
             derived.append(node)
             continue
-        children = tuple(derived[i] for i in kids)
-        mean = _mean([c.reliability for c in children])
-        if node.reliability is None:
-            derived.append(replace(node, children=children, reliability=mean))
-            continue
-        if strict and abs(node.reliability - mean) > 1e-6:
-            raise ErkitError(
-                f"node {path!r} declares reliability {node.reliability} "
-                f"but its children average {mean}"
-            )
-        derived.append(replace(node, children=children))
+        if strict and node.reliability is not None:
+            mean = _mean([plan.reliabilities[j] for j in kids])
+            if abs(node.reliability - mean) > 1e-6:
+                raise ErkitError(
+                    f"node {path!r} declares reliability {node.reliability} "
+                    f"but its children average {mean}"
+                )
+        derived.append(replace(node, children=tuple(derived[j] for j in kids), reliability=reliability))
     return replace(model, root=derived[-1])
 
 
@@ -324,9 +322,9 @@ def validate(model: EvaluationModel) -> list[Diagnostic]:
         else:
             if node.assessments:
                 problems.append(Diagnostic(path, "general attribute carries assessments"))
-            names = [c.name for c in node.children]
-            if len(set(names)) != len(names):
-                problems.append(Diagnostic(path, "children have duplicate names"))
+            repeated = [name for name, count in Counter(c.name for c in node.children).items() if count > 1]
+            if repeated:
+                problems.append(Diagnostic(path, f"children have duplicate names: {repeated}"))
             importances = [c.importance for c in node.children]
             if any(v is None for v in importances):
                 nameless = [c.name for c, v in zip(node.children, importances) if v is None]
@@ -342,44 +340,22 @@ def validate(model: EvaluationModel) -> list[Diagnostic]:
     return problems
 
 
-def _factors(node: AttributeNode, algorithm: str, path: str) -> tuple[float, float]:
-    """The (reliability α, importance β) a node brings into its parent's combination.
-
-    ``e2r`` reads the reliability and the importance; ``oer`` folds the
-    weight as a reliability, (weight, 1), and ``mer`` as an importance,
-    (1, weight), the weight falling back to the reliability (``oer``) or
-    the importance (``mer``).
-    """
-    if algorithm == "e2r":
-        for name in ("reliability", "importance"):
-            if getattr(node, name) is None:
-                raise ErkitError(f"node {path!r} has no {name}")
-        factors = (node.reliability, node.importance)
-    else:
-        kind = "reliability" if algorithm == "oer" else "importance"
-        weight = node.weight if node.weight is not None else getattr(node, kind)
-        if weight is None:
-            raise ErkitError(f"node {path!r} has neither weight nor {kind}")
-        factors = (weight, 1.0) if algorithm == "oer" else (1.0, weight)
-    for value in factors:
-        if not 0.0 <= value <= 1.0:
-            raise ValueError(f"node {path!r}: factor {value!r} outside [0, 1]")
-    return factors
-
-
 class CompiledModel:
     """A model compiled for evaluation: every node once, children before parents.
 
     ``paths[i]`` and ``nodes[i]`` name the i-th node of the post-order and
     ``children[i]`` the positions of its children (empty for a basic
-    attribute), so the root comes last.  No two nodes share a path.  Each
-    model compiles one, its :attr:`EvaluationModel.plan`, for every scheme;
-    the leaf columns over all alternatives are gathered on first use and
-    kept.
+    attribute), so the root comes last; ``reliabilities[i]`` is its own
+    reliability or, if a general node omits it, its children's mean.  Only
+    a model :func:`validate` accepts compiles, one per model, for every
+    scheme; the leaf columns over all alternatives are gathered on first
+    use and kept.
     """
 
     def __init__(self, model: EvaluationModel):
-        self.frame = model.frame
+        problems = validate(model)
+        if problems:
+            raise ModelValidationError(problems)
         self.alternatives = model.alternatives
         # Children keep their order.  The traversal is iterative, so depth is
         # bounded by memory, not by the interpreter's recursion limit.
@@ -393,26 +369,35 @@ class CompiledModel:
         pre.reverse()
         last = len(pre) - 1
         children: list[list[int]] = [[] for _ in pre]
-        for position, (_, _, parent) in enumerate(pre):
+        reliabilities: list[float] = []
+        for position, (_, node, parent) in enumerate(pre):
             if parent >= 0:
                 children[last - parent].append(position)
+            own, kids = node.reliability, children[position]  # its children all came before it
+            reliabilities.append(own if own is not None else _mean([reliabilities[j] for j in kids]))
         self.paths = tuple(path for path, _, _ in pre)
-        # Results and traces are keyed by path, so two nodes may not share one.
-        seen = set()
-        for path in self.paths:
-            if path in seen:
-                raise ErkitError(f"two nodes share the path {path!r}")
-            seen.add(path)
         self.nodes = tuple(node for _, node, _ in pre)
         self.children = tuple(map(tuple, children))
+        self.reliabilities = tuple(reliabilities)
 
     def factors(self, algorithm: str) -> list[tuple[float, float] | None]:
-        """(α, β) of every node as a child under ``algorithm``; ``None`` for the root."""
-        last = len(self.nodes) - 1
-        return [
-            _factors(node, algorithm, path) if i < last else None
-            for i, (path, node) in enumerate(zip(self.paths, self.nodes))
-        ]
+        """The (reliability α, importance β) each node brings into its parent's
+        combination under ``algorithm``; ``None`` for the root.
+
+        ``e2r`` reads the reliability and the importance; ``oer`` folds the
+        weight as a reliability, (weight, 1), and ``mer`` as an importance,
+        (1, weight), the weight falling back to the reliability (``oer``) or
+        the importance (``mer``).
+        """
+        pairs = zip(self.reliabilities, self.nodes)
+        if algorithm == "e2r":
+            out = [(r, n.importance) for r, n in pairs]
+        elif algorithm == "oer":
+            out = [(r if n.weight is None else n.weight, 1.0) for r, n in pairs]
+        else:
+            out = [(1.0, n.importance if n.weight is None else n.weight) for _, n in pairs]
+        out[-1] = None
+        return out
 
     @cached_property
     def leaf_columns(self) -> dict[int, tuple[list[np.ndarray], np.ndarray]]:
@@ -422,21 +407,9 @@ class CompiledModel:
         for i, kids in enumerate(self.children):
             if kids:
                 continue
-            path, table = self.paths[i], self.nodes[i].assessments
+            table = self.nodes[i].assessments
             # One index array puts the table's rows in the model's order of alternatives.
-            if table.names == alternatives:
-                order, missing = slice(None), False
-            else:
-                order = list(map(table.rows.get, alternatives))
-                missing = None in order
-            if missing or (table.frame is not self.frame and table.frame != self.frame):
-                for alt in alternatives:  # the first alternative at fault, as the fold meets it
-                    if alt not in table:
-                        raise ErkitError(f"basic attribute {path!r} has no assessment for {alt!r}")
-                    if table.frame != self.frame:
-                        raise FrameMismatchError(
-                            f"basic attribute {path!r}: assessment for {alt!r} uses a different frame"
-                        )
+            order = slice(None) if table.names == alternatives else list(map(table.rows.get, alternatives))
             out[i] = list(table.degrees[order].T.copy()), table.unassigned[order]
         return out
 

@@ -58,15 +58,15 @@ import numpy as np
 from .algorithms import DEGREE_SUM_TOL, Assessment, _fields_equal
 from .decision import RankedResult, UtilityFunction
 from .dst import GradeFrame
-from .errors import ModelFormatError, ModelValidationError
+from .errors import ModelFormatError
 from .hierarchy import (
     UNASSIGNED,
     AssessmentTable,
     AttributeNode,
     BatchEvaluation,
     EvaluationModel,
-    validate,
 )
+from .hierarchy import validate  # noqa: F401  the benchmark's traced child wraps this name
 
 MODEL_SCHEMA = "er-model/1"
 RESULT_SCHEMA = "er-result/1"
@@ -261,9 +261,10 @@ def load_model(
 
     A string starting with ``{`` is treated as document text, anything else
     as a path to a UTF-8 file.  Parse and schema problems raise
-    :class:`~erkit.errors.ModelFormatError`; with ``check`` enabled (the
-    default) semantic problems raise
-    :class:`~erkit.errors.ModelValidationError` carrying all diagnostics.
+    :class:`~erkit.errors.ModelFormatError`.  With ``check`` enabled (the
+    default) the model's plan is compiled here, and kept for evaluation, so
+    semantic problems raise :class:`~erkit.errors.ModelValidationError`
+    carrying all diagnostics; unchecked, they raise when it is evaluated.
     Sibling importances are verified, not rescaled, unless
     ``renormalize_importances`` is set: then the walk that parses a general
     node's children divides their importances by the siblings' total (left
@@ -305,9 +306,7 @@ def load_model(
     except ValueError as exc:
         raise ModelFormatError(f"{where}: {exc}") from exc
     if check:
-        problems = validate(model)
-        if problems:
-            raise ModelValidationError(problems)
+        model.plan  # compiling validates the model
     return model
 
 
@@ -344,6 +343,8 @@ def save_model(model: EvaluationModel) -> str:
 def trace_to_json(batch: BatchEvaluation) -> dict[str, dict[str, list[dict]]]:
     """A traced batch's per-step aggregation masses as alternative -> path ->
     steps, for reporting; each step's masses are read off its arrays at once."""
+    if batch.traces is None:
+        raise ValueError("the batch holds no traces; evaluate it with_trace=True")
     grades = batch.frame.grades
     n = len(grades)
     out: dict[str, dict[str, list[dict]]] = {alt: {} for alt in batch.alternatives}
@@ -373,9 +374,10 @@ class ResultDocument:
     ``paths`` (post-order, root last) and alternatives ``alternatives``.
     ``redistributed`` is (alternatives × grades).  Every structural
     invariant of the result schema is checked here, names that do not
-    encode as UTF-8 included, so a document that can be built can be saved
-    and loaded back.  Left to the writer and the loader: non-finite numbers,
-    and traces not laid out as :func:`trace_to_json` lays them out.
+    encode as UTF-8 and a grade named ``Unknown`` included, so a document
+    that can be built can be saved and loaded back.  Left to the writer and
+    the loader: non-finite numbers, and traces not laid out as
+    :func:`trace_to_json` lays them out.
     Documents are equal when their fields are, arrays elementwise.
     """
 
@@ -402,6 +404,8 @@ class ResultDocument:
             )
         if self.redistributed.shape != self.assigned.shape[1:]:
             raise ValueError("redistributed degrees must be (alternatives × grades)")
+        if UNASSIGNED in self.frame:
+            raise ValueError(f"grade name {UNASSIGNED!r} is reserved for the unassigned degree")
         # Grades, alternatives and paths become JSON keys; a repeat would write a key twice.
         for name in ("frame", "alternatives", "paths"):
             values = getattr(self, name)

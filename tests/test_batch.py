@@ -16,9 +16,9 @@ from erkit import (
     Assessment,
     AttributeNode,
     CompleteConflictError,
-    ErkitError,
     EvaluationModel,
     GradeFrame,
+    ModelValidationError,
     TraceStep,
     UtilityFunction,
     WeightedAssessment,
@@ -42,6 +42,7 @@ from erkit import (
     validate,
 )
 from erkit.cli import EXIT_RUNTIME, _run_algorithms, main
+from erkit.modelio import trace_to_json
 
 from randgen import frame_of, random_assessment
 
@@ -50,7 +51,13 @@ DST_TOL = 1e-10
 
 
 def random_model(seed, depth, branching, grades, alternatives):
-    """A seeded tree with 1..``branching`` children per general node, leaves at any depth."""
+    """:func:`random_tree_model` with its general-node reliabilities derived."""
+    return derive_reliabilities(random_tree_model(seed, depth, branching, grades, alternatives))
+
+
+def random_tree_model(seed, depth, branching, grades, alternatives):
+    """A seeded tree with 1..``branching`` children per general node, leaves at any depth;
+    no general node has a reliability."""
     rng = np.random.default_rng(seed)
     frame = frame_of(grades)
     alts = tuple(f"a{i}" for i in range(alternatives))
@@ -68,7 +75,7 @@ def random_model(seed, depth, branching, grades, alternatives):
         children = tuple(grow(f"{name}.{i}", level + 1, w) for i, w in enumerate(weights))
         return AttributeNode(name, children=children, importance=importance)
 
-    return derive_reliabilities(EvaluationModel(frame, alts, grow("r", 0, None)))
+    return EvaluationModel(frame, alts, grow("r", 0, None))
 
 
 def dst_results(model, scheme, alternative):
@@ -245,6 +252,11 @@ def test_batches_and_decisions_compare_by_value(scheme):
             hash(record)
 
 
+def test_trace_to_json_of_an_untraced_batch_says_to_trace_it():
+    with pytest.raises(ValueError, match="with_trace=True"):
+        trace_to_json(evaluate_batch(motorcycle_model(), "e2r"))
+
+
 def test_batches_of_two_schemes_compare_unequal():
     model = derive_reliabilities(motorcycle_model())
     oer, mer = evaluate_batch(model, "oer"), evaluate_batch(model, "mer")
@@ -412,6 +424,19 @@ def test_a_3000_level_chain_has_no_recursion_limit():
             assert float(batch.unassigned[-1][a]) == root.unassigned
 
 
+@pytest.mark.parametrize("scheme", ["oer", "mer", "e2r"])
+def test_omitted_reliabilities_evaluate_as_derive_reliabilities_fills_them(scheme):
+    """The plan takes a general node's omitted reliability as its children's mean, bit for bit
+    what evaluating the model ``derive_reliabilities`` returns gives."""
+    models = [random_tree_model(seed, 3, 4, 4, 7) for seed in range(8)] + [chain_model(40)]
+    for model in models:
+        assert any(node.reliability is None for _, node in model.walk())
+        derived = derive_reliabilities(model)
+        assert evaluate_batch(model, scheme, with_trace=True) == evaluate_batch(derived, scheme, with_trace=True)
+        alt = model.alternatives[-1]
+        assert evaluate(model, scheme, alt) == evaluate(derived, scheme, alt)
+
+
 #: Names a hand-rolled JSON writer could mangle: % templates, JSON escapes, non-ASCII.
 AWKWARD = ("%", "%r", '"', "\\", "\n", "\u00fc", "\u20ac %s", "\t")
 
@@ -509,7 +534,7 @@ def test_json_writer_rejects_non_finite_values(seed, alternatives, where, value,
 
 
 def test_duplicate_sibling_names_are_rejected_when_the_plan_is_compiled():
-    """A model loaded unchecked with two children named x: compiling it names the repeated path."""
+    """A model loaded unchecked with two children named x: compiling it names the repeated name."""
     leaf = {"reliability": 0.9, "importance": 0.25}
     text = json.dumps({
         "schema": "er-model/1",
@@ -523,6 +548,6 @@ def test_duplicate_sibling_names_are_rejected_when_the_plan_is_compiled():
         ]},
     })
     model = load_model(text, check=False)
-    assert validate(model)
-    with pytest.raises(ErkitError, match="two nodes share the path 'root/x'"):
+    with pytest.raises(ModelValidationError, match=r"root: children have duplicate names: \['x'\]") as refused:
         derive_reliabilities(model)
+    assert refused.value.diagnostics == validate(model)

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+import erkit.hierarchy
+import erkit.modelio
 from erkit import cli, errors, motorcycle_json
 from erkit.cli import EXIT_IO, EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, main
 
@@ -20,6 +22,28 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", [["evaluate", "--algo", "all"], ["compare"]])
+def test_a_run_validates_and_compiles_the_model_once(capsys, monkeypatch, model_file, argv):
+    compiled, validated = [], []
+    validate = erkit.hierarchy.validate
+
+    class Counting(erkit.hierarchy.CompiledModel):
+        def __init__(self, model):
+            compiled.append(model)
+            super().__init__(model)
+
+    def counting_validate(model):
+        validated.append(model)
+        return validate(model)
+
+    monkeypatch.setattr(erkit.hierarchy, "CompiledModel", Counting)
+    for module in (erkit.hierarchy, erkit.modelio):
+        monkeypatch.setattr(module, "validate", counting_validate)
+    code, _, err = run(capsys, *argv, model_file)
+    assert code == EXIT_OK, err
+    assert (len(compiled), len(validated)) == (1, 1)
 
 
 class TestEvaluate:

@@ -14,7 +14,7 @@ from erkit import (
     CompleteConflictError,
     ErkitError,
     EvaluationModel,
-    FrameMismatchError,
+    ModelValidationError,
     UtilityFunction,
     WeightedAssessment,
     decide,
@@ -282,13 +282,17 @@ class TestEvaluate:
 
 
 class TestRuntimeGuards:
-    """What ``evaluate`` and ``evaluate_batch`` reject in a model nobody validated."""
+    """What ``evaluate`` and ``evaluate_batch`` refuse in a model nobody validated:
+    compiling its plan raises ``validate``'s diagnostics, which name the node at fault."""
 
     @staticmethod
-    def run(kind, model, algorithm):
-        if kind == "batch":
-            return evaluate_batch(model, algorithm)
-        return [evaluate(model, algorithm, alt) for alt in model.alternatives]
+    def run(kind, model, algorithm, match):
+        with pytest.raises(ModelValidationError, match=match) as refused:
+            if kind == "batch":
+                evaluate_batch(model, algorithm)
+            else:
+                evaluate(model, algorithm, model.alternatives[0])
+        assert refused.value.diagnostics == validate(model)
 
     @staticmethod
     def model(second_leaf, alternatives=("alt",)):
@@ -300,30 +304,32 @@ class TestRuntimeGuards:
     def test_missing_assessment_names_the_leaf_and_the_alternative(self, kind):
         b = Assessment.from_degrees(H5, {"g2": 1.0})
         model = self.model(leaf("b", 0.6, 0.5, {"alt": b}), alternatives=("alt", "other"))
-        with pytest.raises(ErkitError, match="'root/b' has no assessment for 'other'"):
-            self.run(kind, model, "e2r")
+        self.run(kind, model, "e2r", r"root/b: missing assessments for \['other'\]")
 
     @pytest.mark.parametrize("kind", ["single", "batch"])
     def test_assessment_over_another_frame(self, kind):
         b = Assessment.from_degrees(frame_of(3), {"g2": 1.0})
         model = self.model(leaf("b", 0.6, 0.5, {"alt": b}))
-        with pytest.raises(FrameMismatchError, match="'root/b'"):
-            self.run(kind, model, "e2r")
+        self.run(kind, model, "e2r", "root/b: assessment for 'alt' uses a different frame")
 
     @pytest.mark.parametrize("kind", ["single", "batch"])
     def test_e2r_needs_every_child_importance(self, kind):
         b = Assessment.from_degrees(H5, {"g2": 1.0})
         model = self.model(leaf("b", 0.6, None, {"alt": b}))
-        with pytest.raises(ErkitError, match="'root/b' has no importance"):
-            self.run(kind, model, "e2r")
+        self.run(kind, model, "e2r", r"root: children lack importances: \['b'\]")
 
     @pytest.mark.parametrize("kind", ["single", "batch"])
-    @pytest.mark.parametrize("algorithm, factor", [("oer", "reliability"), ("mer", "importance")])
-    def test_single_factor_schemes_need_a_weight_or_their_factor(self, kind, algorithm, factor):
+    @pytest.mark.parametrize(
+        "algorithm, problem",
+        [
+            ("oer", "root/b: basic attribute lacks a reliability"),
+            ("mer", r"root: children lack importances: \['b'\]"),
+        ],
+    )
+    def test_single_factor_schemes_need_a_weight_or_their_factor(self, kind, algorithm, problem):
         b = Assessment.from_degrees(H5, {"g2": 1.0})
         model = self.model(AttributeNode("b", assessments={"alt": b}))
-        with pytest.raises(ErkitError, match=f"'root/b' has neither weight nor {factor}"):
-            self.run(kind, model, algorithm)
+        self.run(kind, model, algorithm, problem)
 
     @pytest.mark.parametrize("kind", ["single", "batch"])
     @pytest.mark.parametrize("algorithm", ["oer", "mer", "e2r"])
@@ -331,8 +337,38 @@ class TestRuntimeGuards:
         b = Assessment.from_degrees(H5, {"g2": 1.0})
         model = self.model(AttributeNode("b", reliability=1.5, importance=-0.5, weight=1.5,
                                          assessments={"alt": b}))
-        with pytest.raises(ValueError, match=r"'root/b': factor .* outside \[0, 1\]"):
-            self.run(kind, model, algorithm)
+        self.run(kind, model, algorithm, r"root/b: reliability 1\.5 outside \[0, 1\]")
+
+
+class TestOneGate:
+    """Compiling the plan is the one model check: evaluation refuses exactly what ``validate`` does."""
+
+    @staticmethod
+    def three_problem_model():
+        """Assessments on the root, importances summing to 0.6, and an undeclared alternative."""
+        a = Assessment.from_degrees(H5, {"g3": 0.6, "g4": 0.3})
+        b = Assessment.from_degrees(H5, {"g2": 1.0})
+        children = (leaf("a", 0.8, 0.3, {"alt": a, "zzz": a}), leaf("b", 0.6, 0.3, {"alt": b}))
+        return EvaluationModel(H5, ("alt",), AttributeNode("root", children=children, assessments={"alt": b}))
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            *(pytest.param(lambda m, s=s: evaluate(m, s, "alt"), id=f"evaluate-{s}") for s in ("oer", "mer", "e2r")),
+            *(pytest.param(lambda m, s=s: evaluate_batch(m, s), id=f"batch-{s}") for s in ("oer", "mer", "e2r")),
+            pytest.param(derive_reliabilities, id="derive_reliabilities"),
+        ],
+    )
+    def test_every_evaluation_refuses_with_the_diagnostics_of_validate(self, call):
+        model = self.three_problem_model()
+        assert [str(d) for d in validate(model)] == [
+            "root: general attribute carries assessments",
+            "root: children's importances sum to 0.6, expected 1",
+            "root/a: assessments for undeclared alternatives ['zzz']",
+        ]
+        with pytest.raises(ModelValidationError) as refused:
+            call(model)
+        assert refused.value.diagnostics == validate(model)
 
 
 def deep_chain(levels, last_degree=1.0):

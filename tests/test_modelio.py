@@ -346,6 +346,16 @@ class TestMalformedResultDocuments:
         assigned, unassigned = document.root_rows()
         assert (assigned[1], unassigned[1]) == (assigned[0], unassigned[0])
 
+    def test_a_grade_named_unknown_is_refused(self):
+        payload = _saved_minimal_payload()
+        document = payload["documents"][0]
+        document["frame"] = ["Unknown", "good"]
+        for entry in document["results"].values():
+            for degrees in (*(node["assigned"] for node in entry["nodes"].values()), entry["redistributed"]):
+                degrees["Unknown"] = degrees.pop("bad")
+        with pytest.raises(ModelFormatError, match="result document 0: grade name 'Unknown' is reserved"):
+            load_results(json.dumps(payload))
+
     @pytest.mark.parametrize(
         "mutate",
         [
@@ -502,6 +512,12 @@ class TestResultDocumentInvariants:
         document = _motorcycle_document()
         with pytest.raises(ValueError, match=message):
             replace(document, **changes(document))
+
+    def test_a_grade_named_unknown_is_refused(self):
+        """The reports name the unassigned degree's column Unknown, so no grade may take the name."""
+        document = _motorcycle_document()
+        with pytest.raises(ValueError, match="grade name 'Unknown' is reserved for the unassigned degree"):
+            replace(document, frame=("Unknown", *document.frame[1:]))
 
     def test_a_document_built_in_code_saves_and_loads_back(self):
         document = _motorcycle_document()
