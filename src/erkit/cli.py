@@ -4,37 +4,67 @@ Three subcommands: ``evaluate`` runs one or all aggregation algorithms over
 a model file, ``compare`` contrasts the three algorithms on the same model,
 and ``check-axioms`` runs the randomized synthesis-axiom audit.
 
+Each command imports only the modules it runs.  At import this module loads
+``erkit`` and ``erkit.errors`` and no numpy, so ``--help``, ``--version``
+and usage errors load no library module; a library name (``_LIBRARY``) is
+imported from its module on first read.  ``check-axioms`` loads
+``erkit.axioms`` and what it needs (``algorithms``, ``dst``, numpy), and
+``evaluate`` and ``compare`` load ``modelio`` and what it needs, but not
+``axioms``.  The commands read these names through the module, so a
+wrapper set on ``erkit.cli`` in place of one is what runs.
+
 Exit codes: 0 success, 1 validation failure, 2 runtime aggregation failure
 (total conflict or a degenerate mass), 3 I/O failure.  Reports go to
-stdout, diagnostics to stderr; files are written only when ``--out`` is
-given.  ``evaluate`` and ``compare`` draw no random numbers; only
-``check-axioms`` takes ``--seed``, and with a fixed seed its report is
-byte-identical across runs.
+stdout, diagnostics to stderr, library warnings as one ``warning:`` line
+each; files are written only when ``--out`` is given.  ``evaluate`` and
+``compare`` draw no random numbers; only ``check-axioms`` takes
+``--seed``, and with a fixed seed its report is byte-identical across runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import sys
+import warnings
 from pathlib import Path
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 from . import __version__
-from .algorithms import AGGREGATORS
-from .axioms import audit_axioms
-from .decision import decide
 from .errors import ErkitError, ModelFormatError, ModelValidationError
-from .hierarchy import UNASSIGNED, EvaluationModel, evaluate_batch
-from .hierarchy import derive_reliabilities, evaluate  # noqa: F401  the benchmark's hooks read these names
-from .modelio import (
-    ResultDocument,
-    _format_row,
-    result_from_evaluation,
-    save_results,
-    trace_to_json,
-    load_model,
-)
+
+if TYPE_CHECKING:
+    from .hierarchy import EvaluationModel
+    from .modelio import ResultDocument
+
+#: The library names the commands read, by the module that defines each.  The
+#: benchmark's hooks also read ``derive_reliabilities`` and ``evaluate`` here.
+_LIBRARY = {
+    "axioms": ("audit_axioms",),
+    "decision": ("decide",),
+    "hierarchy": ("UNASSIGNED", "derive_reliabilities", "evaluate", "evaluate_batch"),
+    "modelio": ("_format_row", "load_model", "result_from_evaluation", "save_results", "trace_to_json"),
+}
+
+_HOME = {name: module for module, names in _LIBRARY.items() for name in names}
+
+#: The aggregation schemes, as ``erkit.algorithms.AGGREGATORS`` orders them; reading
+#: that table would import numpy before the arguments are parsed.
+SCHEMES = ("oer", "mer", "e2r")
+
+
+def __getattr__(name: str):
+    """A library name, imported from its module on first read and kept in this module."""
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"erkit.{_HOME[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+#: This module, through which the commands read the library names.
+_cli = sys.modules[__name__]
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -73,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("evaluate", help="evaluate a model file")
     p_eval.add_argument("model", type=Path, help="model document (JSON)")
     p_eval.add_argument(
-        "--algo", choices=(*AGGREGATORS, "all"), default="e2r", help="aggregation algorithm"
+        "--algo", choices=(*SCHEMES, "all"), default="e2r", help="aggregation algorithm"
     )
     p_eval.add_argument("--trace", action="store_true", help="include per-step masses (JSON reports only)")
     p_eval.add_argument("--strict", action="store_true", help="reject unknown document fields")
@@ -87,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.set_defaults(func=cmd_compare)
 
     p_ax = sub.add_parser("check-axioms", help="audit the synthesis axioms")
-    p_ax.add_argument("--algo", choices=tuple(AGGREGATORS), default="e2r", help="algorithm to audit")
+    p_ax.add_argument("--algo", choices=SCHEMES, default="e2r", help="algorithm to audit")
     p_ax.add_argument(
         "--iterations", type=_positive_int, default=1000, help="instances per axiom"
     )
@@ -114,20 +144,20 @@ def _run_algorithms(
     ``with_trace`` that fold also keeps the per-step traces it reports."""
     documents = []
     for algorithm in algorithms:
-        batch = evaluate_batch(model, algorithm, with_trace)
-        traces = trace_to_json(batch) if with_trace else None
-        ranked = decide(batch, model.utility)
-        documents.append(result_from_evaluation(batch, ranked, traces))
+        batch = _cli.evaluate_batch(model, algorithm, with_trace)
+        traces = _cli.trace_to_json(batch) if with_trace else None
+        ranked = _cli.decide(batch, model.utility)
+        documents.append(_cli.result_from_evaluation(batch, ranked, traces))
     return documents
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    algorithms = tuple(AGGREGATORS) if args.algo == "all" else (args.algo,)
+    algorithms = SCHEMES if args.algo == "all" else (args.algo,)
     # Only the JSON report holds traces; the table and CSV reports fold without them.
     with_trace = args.trace and args.format == "json"
     # The model is bound to no name here, so it is freed before the report is encoded.
-    documents = _run_algorithms(load_model(args.model, strict=args.strict), algorithms, with_trace)
-    _emit(save_results(documents, format=args.format), args.out)
+    documents = _run_algorithms(_cli.load_model(args.model, strict=args.strict), algorithms, with_trace)
+    _emit(_cli.save_results(documents, format=args.format), args.out)
     return EXIT_OK
 
 
@@ -135,17 +165,16 @@ def _compare_report(documents: list[ResultDocument]) -> dict:
     frame = list(documents[0].frame)
     alternatives = documents[0].alternatives
     roots = {doc.algorithm: doc.root_rows() for doc in documents}
+    keys = (*frame, _cli.UNASSIGNED)
     comparison = {}
     for i, alt in enumerate(alternatives):
         dists = {
-            algo: {**dict(zip(frame, assigned[i])), UNASSIGNED: unassigned[i]}
+            algo: dict(zip(keys, (*assigned[i], unassigned[i])))
             for algo, (assigned, unassigned) in roots.items()
         }
         deltas = {}
         for a, b in (("mer", "oer"), ("e2r", "oer"), ("e2r", "mer")):
-            deltas[f"{a}-{b}"] = {
-                key: dists[a][key] - dists[b][key] for key in (*frame, UNASSIGNED)
-            }
+            deltas[f"{a}-{b}"] = {key: dists[a][key] - dists[b][key] for key in keys}
         comparison[alt] = {"distributions": dists, "deltas": deltas}
     return {
         "schema": "er-comparison/1",
@@ -158,20 +187,20 @@ def _compare_report(documents: list[ResultDocument]) -> dict:
 
 
 def _render_compare_table(report: dict) -> str:
-    frame = report["frame"]
+    keys, format_row = (*report["frame"], _cli.UNASSIGNED), _cli._format_row
     lines = []
     for alt in report["alternatives"]:
         lines.append(f"Alternative: {alt}")
-        header = ["algorithm", *frame, UNASSIGNED]
+        header = ["algorithm", *keys]
         widths = [max(len(h), 11) for h in header]
-        lines.append(_format_row(header, widths))
+        lines.append(format_row(header, widths))
         entry = report["comparison"][alt]
         for algo, dist in entry["distributions"].items():
-            cells = [algo, *(f"{dist[key]:.4f}" for key in (*frame, UNASSIGNED))]
-            lines.append(_format_row(cells, widths))
+            cells = [algo, *(f"{dist[key]:.4f}" for key in keys)]
+            lines.append(format_row(cells, widths))
         for pair, delta in entry["deltas"].items():
-            cells = [pair, *(f"{delta[key]:+.4f}" for key in (*frame, UNASSIGNED))]
-            lines.append(_format_row(cells, widths))
+            cells = [pair, *(f"{delta[key]:+.4f}" for key in keys)]
+            lines.append(format_row(cells, widths))
         lines.append("")
     lines.append("Expected utilities")
     for algo, utils in report["utilities"].items():
@@ -184,11 +213,11 @@ def _render_compare_table(report: dict) -> str:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    model = load_model(args.model, strict=args.strict)
-    documents = _run_algorithms(model, AGGREGATORS, with_trace=False)
+    model = _cli.load_model(args.model, strict=args.strict)
+    documents = _run_algorithms(model, SCHEMES, with_trace=False)
     del model  # frees the model and its plan before the report is built
     if args.format == "csv":
-        _emit(save_results(documents, format="csv"), args.out)
+        _emit(_cli.save_results(documents, format="csv"), args.out)
         return EXIT_OK
     report = _compare_report(documents)
     if args.format == "json":
@@ -217,7 +246,7 @@ def _render_audit_table(algorithm: str, iterations: int, seed: int, report) -> s
 
 
 def cmd_check_axioms(args: argparse.Namespace) -> int:
-    report = audit_axioms(args.algo, iterations=args.iterations, seed=args.seed)
+    report = _cli.audit_axioms(args.algo, iterations=args.iterations, seed=args.seed)
     if args.format == "json":
         payload = {
             "schema": "er-axiom-audit/1",
@@ -240,20 +269,27 @@ def cmd_check_axioms(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except (ModelFormatError, ModelValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except ErkitError as exc:  # any other toolkit error: conflict, degenerate mass, weight sum
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+    with warnings.catch_warnings():
+        # A warning is a diagnostic like an error: one line, not a pointer into erkit's source.
+        warnings.showwarning = _show_warning
+        try:
+            return args.func(args)
+        except (ModelFormatError, ModelValidationError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_VALIDATION
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_IO
+        except ErkitError as exc:  # any other toolkit error: conflict, degenerate mass, weight sum
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_RUNTIME
 
 
 if __name__ == "__main__":

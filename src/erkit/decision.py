@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from operator import mul
@@ -16,6 +17,16 @@ if TYPE_CHECKING:
     import numpy as np
 
     from .hierarchy import BatchEvaluation
+
+
+def _caller_outside_erkit() -> int:
+    """The ``stacklevel`` of the innermost frame outside erkit, counted from the
+    function that calls this one: a warning names the code that called into erkit,
+    whether it built a utility function directly or through a loader."""
+    frame, level = sys._getframe(1), 1
+    while frame.f_back is not None and frame.f_globals.get("__name__", "").split(".")[0] == "erkit":
+        frame, level = frame.f_back, level + 1
+    return level
 
 
 @dataclass(frozen=True)
@@ -39,7 +50,7 @@ class UtilityFunction:
         if any(b < a for a, b in zip(self.values, self.values[1:])):
             warnings.warn(
                 "utilities are not non-decreasing along the grade order",
-                stacklevel=3,
+                stacklevel=_caller_outside_erkit(),
             )
 
     @classmethod
@@ -47,6 +58,9 @@ class UtilityFunction:
         missing = [g for g in frame.grades if g not in utilities]
         if missing:
             raise ValueError(f"utilities missing for grades {missing}")
+        extra = [g for g in utilities if g not in frame.grades]
+        if extra:
+            raise ValueError(f"utilities given for grades outside the frame {extra}")
         return cls(frame, tuple(utilities[g] for g in frame.grades))
 
     @classmethod

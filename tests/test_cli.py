@@ -8,7 +8,7 @@ import pytest
 import erkit.hierarchy
 import erkit.modelio
 from erkit import cli, errors, motorcycle_json
-from erkit.cli import EXIT_IO, EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, main
+from erkit.cli import EXIT_IO, EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, _run_algorithms, main
 
 
 @pytest.fixture()
@@ -431,6 +431,30 @@ class TestInputsTheLoaderRejects:
             "error: model validation failed: root: grade name 'Unknown' is reserved "
             "for the unassigned degree\n"
         )
+
+
+class TestUtilitiesInTheModel:
+    def write(self, tmp_path, **utilities):
+        doc = json.loads(motorcycle_json())
+        doc["utilities"].update(utilities)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        return path
+
+    @pytest.mark.parametrize("strict", [(), ("--strict",)], ids=["lenient", "strict"])
+    def test_utility_of_a_grade_outside_the_frame_is_validation_failure(self, capsys, tmp_path, strict):
+        path = self.write(tmp_path, bogus=0.5)
+        code, out, err = run(capsys, "evaluate", *strict, str(path))
+        assert (code, out) == (EXIT_VALIDATION, "")
+        assert err == f"error: {path}: bad utilities: utilities given for grades outside the frame ['bogus']\n"
+
+    def test_non_increasing_utilities_warn_in_one_line(self, capsys, tmp_path):
+        path = self.write(tmp_path, poor=0.5, indifferent=0.1)
+        code, out, err = run(capsys, "evaluate", str(path))
+        assert (code, err) == (EXIT_OK, "warning: utilities are not non-decreasing along the grade order\n")
+        with pytest.warns(UserWarning, match="not non-decreasing"):
+            model = erkit.modelio.load_model(path)
+        assert out == erkit.modelio.save_results(_run_algorithms(model, ["e2r"], False), format="table")
 
 
 class TestExitCodeMapping:

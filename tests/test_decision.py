@@ -35,6 +35,10 @@ class TestUtilityFunction:
         with pytest.raises(ValueError):
             UtilityFunction.from_mapping(H5, {"g0": 0.1})
 
+    def test_grade_outside_the_frame_rejected(self):
+        with pytest.raises(ValueError, match=r"grades outside the frame \['bogus'\]"):
+            UtilityFunction.from_mapping(H5, {**U5.by_grade, "bogus": 0.5})
+
     def test_one_utility_per_grade(self):
         with pytest.raises(ValueError, match="one utility per grade"):
             UtilityFunction(H5, (0.5, 1.0))
@@ -45,6 +49,11 @@ class TestUtilityFunction:
         # The warning names the line that built the function, not the dataclass's __init__.
         assert caught[0].filename == __file__
         assert u.of("g1") == 0.1
+
+    def test_the_warning_names_the_caller_of_from_mapping(self):
+        with pytest.warns(UserWarning, match="not non-decreasing") as caught:
+            UtilityFunction.from_mapping(H5, dict(zip(H5.grades, (0.2, 0.1, 0.6, 0.8, 1.0))))
+        assert [record.filename for record in caught] == [__file__]
 
 
 class TestRedistributeUnknown:
