@@ -3,7 +3,9 @@
 All three schemes share one kernel.  It discounts each assessment by a
 reliability α and an importance β, folds the results by the extended
 orthogonal sum, and folds the Omega (indecisiveness) mass back at the end.
-The schemes differ only in the (α, β) they pass:
+The schemes differ only in the (α, β) that one function, ``_factors``, reads
+from an attribute's weight, reliability and importance; the flat
+aggregators, the hierarchy's fold and the axiom audit all call it:
 
 ``oer_aggregate``
     (weight, 1): weights are *reliabilities*; the discounted surplus joins
@@ -14,8 +16,8 @@ The schemes differ only in the (α, β) they pass:
     the unassigned mass is redistributed proportionally after combination.
 
 ``e2r_aggregate``
-    (reliability, importance): both factors at once; reduces to the other
-    two, bit for bit, in the obvious limits.
+    (reliability, importance): both factors at once, the weight unread;
+    reduces to the other two, bit for bit, in the obvious limits.
 
 An item's frame mass is β·max(0, 1 − Σα·d).  For ``e2r`` this differs from
 the closed form β·(α·u + 1 − α) by rounding only: at most about 1e-15 on
@@ -266,22 +268,47 @@ def _aggregate(degrees, factors, with_trace=False):
     return [scale * v for v in sing], scale * mh, steps
 
 
-def _combine(frame, items, factors, with_trace):
-    """Run the kernel on flat items and wrap its float columns."""
-    assigned, unassigned, steps = _aggregate(
-        [item.assessment.degrees for item in items], factors, with_trace
-    )
-    result = CombinedAssessment(frame, tuple(assigned), unassigned)
-    if with_trace:
-        return result, AggregationTrace(tuple(steps))
-    return result
-
-
 def _check_weight_sum(weights: Sequence[float]) -> None:
     """Importance weights must sum to one; nothing is rescaled silently."""
     total = math.fsum(weights)
     if abs(total - 1.0) > WEIGHT_SUM_TOL:
         raise WeightSumError(f"importance weights sum to {total!r}, expected 1")
+
+
+def _factors(algorithm: str, weight, reliability, importance):
+    """The (reliability α, importance β) an attribute brings into a combination
+    under ``algorithm``, floats or arrays alike: the one place the schemes differ.
+
+    ``oer`` reads the weight as a reliability, (weight, 1), and ``mer`` as an
+    importance, (1, weight), each falling back to that factor when the weight
+    is ``None``; ``e2r`` ignores the weight: (reliability, importance).
+    """
+    _scheme(algorithm)
+    if algorithm == "oer":
+        return (reliability if weight is None else weight), 1.0
+    if algorithm == "mer":
+        return 1.0, (importance if weight is None else weight)
+    return reliability, importance
+
+
+def _factor_pairs(algorithm: str, triples) -> list:
+    """:func:`_factors` of each (weight, reliability, importance) triple; under
+    ``mer`` the importances β must sum to one."""
+    pairs = [_factors(algorithm, *triple) for triple in triples]
+    if algorithm == "mer":
+        _check_weight_sum([beta for _, beta in pairs])
+    return pairs
+
+
+def _combine(algorithm, items, with_trace):
+    """Run the kernel on flat items, factored as ``algorithm`` reads them; wrap its float columns."""
+    frame = _common_frame(items)
+    factors = _factor_pairs(algorithm, [(i.weight, i.reliability, i.importance) for i in items])
+    assigned, unassigned, steps = _aggregate([i.assessment.degrees for i in items], factors, with_trace)
+    result = CombinedAssessment(frame, tuple(assigned), unassigned)
+    if with_trace:
+        return result, AggregationTrace(tuple(steps))
+    return result
 
 
 def oer_aggregate(
@@ -292,8 +319,7 @@ def oer_aggregate(
     The combined degrees are read off the final masses directly; whatever
     mass remains on the frame is reported as unassigned.
     """
-    frame = _common_frame(items)
-    return _combine(frame, items, [(item.weight, 1.0) for item in items], with_trace)
+    return _combine("oer", items, with_trace)
 
 
 def mer_aggregate(
@@ -307,9 +333,7 @@ def mer_aggregate(
     Weights must sum to one; no silent rescaling is performed here so that
     malformed models surface immediately.
     """
-    frame = _common_frame(items)
-    _check_weight_sum([item.weight for item in items])
-    return _combine(frame, items, [(1.0, item.weight) for item in items], with_trace)
+    return _combine("mer", items, with_trace)
 
 
 def e2r_aggregate(
@@ -323,9 +347,7 @@ def e2r_aggregate(
     ``oer_aggregate`` on the reliabilities; with all reliabilities 1 and
     normalized importances it equals ``mer_aggregate`` on the importances.
     """
-    frame = _common_frame(items)
-    factors = [(item.reliability, item.importance) for item in items]
-    return _combine(frame, items, factors, with_trace)
+    return _combine("e2r", items, with_trace)
 
 
 AGGREGATORS = {

@@ -36,7 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .algorithms import Assessment, WeightedAssessment, _aggregate, _common_frame, _scheme
+from .algorithms import Assessment, WeightedAssessment, _aggregate, _common_frame, _factors, _scheme
 from .dst import GradeFrame
 from .errors import AxiomInapplicableError
 
@@ -220,10 +220,7 @@ def _groups(axiom: str, rng: np.random.Generator, iterations: int, normalized: b
 
 def _verdicts(axiom: str, algorithm: str, degrees: np.ndarray, factors: np.ndarray):
     """Fold a group in one pass of the kernel and check the axiom's conclusion."""
-    weight, reliability, importance = factors
-    # the (reliability α, importance β) pairs of the flat aggregators
-    pairs = {"oer": (weight, 1.0), "mer": (1.0, weight), "e2r": (reliability, importance)}
-    alpha, beta = np.broadcast_arrays(*pairs[algorithm])
+    alpha, beta = np.broadcast_arrays(*_factors(algorithm, *factors))
     assigned, unassigned, _ = _aggregate(degrees, list(zip(alpha, beta)))
     grades = tuple(f"g{i}" for i in range(degrees.shape[1]))
     return _conclusion(axiom, grades, degrees, np.array(assigned), unassigned)

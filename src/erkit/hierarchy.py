@@ -20,19 +20,20 @@ the name every report gives the unassigned degree.
 
 Evaluation runs on a model's :attr:`~EvaluationModel.plan`, compiled on
 first use: the tree walked once, iteratively, into a post-order of nodes
-and child positions, with the (reliability, importance) pair of every node
-under each scheme.  Compiling runs :func:`validate`, the one model check
-on the evaluation path, and takes an omitted general-node reliability as
-its children's mean, which :func:`derive_reliabilities` writes into the
-tree.  Its leaf columns are the tables' arrays, put in the model's order
-of alternatives by one index array per leaf.  The plan folds each general
-node with the kernel of :mod:`erkit.algorithms` (not through
-``AGGREGATORS``).  :func:`evaluate_batch` folds every alternative at once,
-each column an array over the alternatives, and can keep the per-step
-traces; :func:`evaluate` is the same fold on one alternative's column.
-Every kernel step is elementwise and its sums run in a fixed order, so the
-two agree bit for bit.  Traversals are iterative: tree depth is bounded by
-memory, not by the recursion limit.
+and child positions, and every node's reliability; it holds nothing per
+scheme.  Compiling runs :func:`validate`, the one model check on the
+evaluation path, and takes an omitted general-node reliability as its
+children's mean, which :func:`derive_reliabilities` writes into the tree.
+Its leaf columns are the tables' arrays, put in the model's order of
+alternatives by one index array per leaf.  Each general node is folded by
+the kernel of :mod:`erkit.algorithms` (not through ``AGGREGATORS``), its
+children's (α, β) read by the rule the flat aggregators use, mer's
+unit-sum check included.  :func:`evaluate_batch` folds every alternative
+at once, each column an array over the alternatives, and can keep the
+per-step traces; :func:`evaluate` is the same fold on one alternative's
+column.  Every kernel step is elementwise and its sums run in a fixed
+order, so the two agree bit for bit.  Traversals are iterative: tree depth
+is bounded by memory, not by the recursion limit.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from .algorithms import (
     DEGREE_SUM_TOL,
     WEIGHT_SUM_TOL,
     _aggregate,
-    _check_weight_sum,
+    _factor_pairs,
     _fields_equal,
     _scheme,
 )
@@ -348,8 +349,8 @@ class CompiledModel:
     attribute), so the root comes last; ``reliabilities[i]`` is its own
     reliability or, if a general node omits it, its children's mean.  Only
     a model :func:`validate` accepts compiles, one per model, for every
-    scheme; the leaf columns over all alternatives are gathered on first
-    use and kept.
+    scheme, no field depending on one; the leaf columns over all
+    alternatives are gathered on first use and kept.
     """
 
     def __init__(self, model: EvaluationModel):
@@ -380,25 +381,6 @@ class CompiledModel:
         self.children = tuple(map(tuple, children))
         self.reliabilities = tuple(reliabilities)
 
-    def factors(self, algorithm: str) -> list[tuple[float, float] | None]:
-        """The (reliability α, importance β) each node brings into its parent's
-        combination under ``algorithm``; ``None`` for the root.
-
-        ``e2r`` reads the reliability and the importance; ``oer`` folds the
-        weight as a reliability, (weight, 1), and ``mer`` as an importance,
-        (1, weight), the weight falling back to the reliability (``oer``) or
-        the importance (``mer``).
-        """
-        pairs = zip(self.reliabilities, self.nodes)
-        if algorithm == "e2r":
-            out = [(r, n.importance) for r, n in pairs]
-        elif algorithm == "oer":
-            out = [(r if n.weight is None else n.weight, 1.0) for r, n in pairs]
-        else:
-            out = [(1.0, n.importance if n.weight is None else n.weight) for _, n in pairs]
-        out[-1] = None
-        return out
-
     @cached_property
     def leaf_columns(self) -> dict[int, tuple[list[np.ndarray], np.ndarray]]:
         """Per basic attribute: one array over alternatives per grade, and the unassigned array."""
@@ -424,8 +406,7 @@ def _fold(plan: CompiledModel, algorithm: str, columns: slice, with_trace: bool)
     which combination went wrong.
     """
     _scheme(algorithm)
-    factors = plan.factors(algorithm)
-    leaves = plan.leaf_columns
+    nodes, reliabilities, leaves = plan.nodes, plan.reliabilities, plan.leaf_columns
     results = []
     traces = {} if with_trace else None
     for i, kids in enumerate(plan.children):
@@ -435,11 +416,10 @@ def _fold(plan: CompiledModel, algorithm: str, columns: slice, with_trace: bool)
             continue
         path = plan.paths[i]
         try:
-            if algorithm == "mer":
-                _check_weight_sum([factors[j][1] for j in kids])
-            assigned, unassigned, steps = _aggregate(
-                [results[j][0] for j in kids], [factors[j] for j in kids], with_trace
+            factors = _factor_pairs(
+                algorithm, [(nodes[j].weight, reliabilities[j], nodes[j].importance) for j in kids]
             )
+            assigned, unassigned, steps = _aggregate([results[j][0] for j in kids], factors, with_trace)
         except ErkitError as exc:
             flagged = getattr(exc, "flagged", None)
             where = f"at node {path!r}"

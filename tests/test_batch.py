@@ -57,29 +57,38 @@ def random_model(seed, depth, branching, grades, alternatives):
 
 def random_tree_model(seed, depth, branching, grades, alternatives):
     """A seeded tree with 1..``branching`` children per general node, leaves at any depth;
-    no general node has a reliability."""
+    no general node has a reliability.  Each sibling group draws importances summing to one
+    and either no weights or weights of their own, also summing to one."""
     rng = np.random.default_rng(seed)
     frame = frame_of(grades)
     alts = tuple(f"a{i}" for i in range(alternatives))
 
-    def grow(name, level, importance):
+    def simplex(n):
+        return [float(w) for w in rng.dirichlet(np.ones(n) * 2.0)]
+
+    def grow(name, level, importance, weight):
         if level == depth or (level > 0 and rng.random() < 0.2):
             return AttributeNode(
                 name,
                 reliability=float(rng.uniform(0.05, 1.0)),
                 importance=importance,
+                weight=weight,
                 assessments={alt: random_assessment(rng, frame) for alt in alts},
             )
         n = int(rng.integers(1, branching + 1))
-        weights = [float(w) for w in rng.dirichlet(np.ones(n) * 2.0)]
-        children = tuple(grow(f"{name}.{i}", level + 1, w) for i, w in enumerate(weights))
-        return AttributeNode(name, children=children, importance=importance)
+        importances = simplex(n)
+        weights = simplex(n) if rng.random() < 0.5 else [None] * n
+        children = tuple(
+            grow(f"{name}.{i}", level + 1, imp, w) for i, (imp, w) in enumerate(zip(importances, weights))
+        )
+        return AttributeNode(name, children=children, importance=importance, weight=weight)
 
-    return EvaluationModel(frame, alts, grow("r", 0, None))
+    return EvaluationModel(frame, alts, grow("r", 0, None, None))
 
 
 def dst_results(model, scheme, alternative):
-    """(assigned, unassigned) per node path, from the erkit.dst pipelines only."""
+    """(assigned, unassigned) per node path, from the erkit.dst pipelines only.  A child's
+    weight, where given, replaces its reliability under oer and its importance under mer."""
 
     def visit(node, path):
         if node.is_basic:
@@ -89,10 +98,11 @@ def dst_results(model, scheme, alternative):
         parts = []
         for child in node.children:
             mass = visit(child, f"{path}/{child.name}")
+            weight = child.weight
             if scheme == "oer":
-                parts.append(reliability_discount(mass, child.reliability))
+                parts.append(reliability_discount(mass, child.reliability if weight is None else weight))
             elif scheme == "mer":
-                parts.append(importance_discount(mass, child.importance))
+                parts.append(importance_discount(mass, child.importance if weight is None else weight))
             else:
                 parts.append(reliability_importance_discount(mass, child.reliability, child.importance))
         if scheme == "oer":
@@ -146,12 +156,14 @@ def test_batch_equals_per_alternative_on_the_motorcycle_model(scheme):
     assert_batch_equals_evaluate(model, batch)
 
 
-def _weighted(scheme, assessment, factors):
-    """``assessment`` carrying the node's (α, β) as the flat aggregator of ``scheme`` reads them."""
-    alpha, beta = factors
-    if scheme == "e2r":
-        return WeightedAssessment(assessment, reliability=alpha, importance=beta)
-    return WeightedAssessment(assessment, weight=alpha if scheme == "oer" else beta)
+def _weighted(scheme, assessment, node):
+    """``assessment`` carrying ``node``'s own weight, reliability and importance.  A node
+    without a weight takes its reliability under oer and its importance otherwise, as
+    :class:`~erkit.AttributeNode` documents; e2r reads no weight."""
+    weight = node.weight
+    if weight is None:
+        weight = node.reliability if scheme == "oer" else node.importance
+    return WeightedAssessment(assessment, weight, node.reliability, node.importance)
 
 
 def _step_of(step, a):
@@ -174,14 +186,13 @@ def assert_batch_equals_the_flat_aggregators(model):
     plan = model.plan
     for scheme in AGGREGATORS:
         batch = evaluate_batch(model, scheme, with_trace=True)
-        factors = plan.factors(scheme)
         for i, kids in enumerate(plan.children):
             if not kids:
                 continue
             steps = batch.traces[plan.paths[i]].steps
             for a, alt in enumerate(model.alternatives):
                 rows = [Assessment(model.frame, tuple(batch.assigned[j, a].tolist())) for j in kids]
-                items = [_weighted(scheme, row, factors[j]) for row, j in zip(rows, kids)]
+                items = [_weighted(scheme, row, plan.nodes[j]) for row, j in zip(rows, kids)]
                 result, trace = AGGREGATORS[scheme](items, with_trace=True)
                 where = (scheme, plan.paths[i], alt)
                 assert result.assigned == tuple(batch.assigned[i, a].tolist()), where

@@ -17,14 +17,17 @@ from erkit import (
     ModelValidationError,
     UtilityFunction,
     WeightedAssessment,
+    WeightSumError,
     decide,
     derive_reliabilities,
     evaluate,
     evaluate_batch,
     motorcycle_model,
     oer_aggregate,
+    save_model,
     validate,
 )
+from erkit.cli import EXIT_RUNTIME, main
 
 from randgen import frame_of, random_assessment
 
@@ -273,6 +276,27 @@ class TestEvaluate:
             [WeightedAssessment(a, weight=0.2), WeightedAssessment(b, weight=0.8)]
         )
         assert evaluate(model, "oer", "alt")["root"].assigned == pytest.approx(expected.assigned)
+
+    def test_mer_weights_at_a_general_node_must_sum_to_one(self, tmp_path, capsys):
+        """Importances summing to one, as validate asks, but explicit weights summing to 0.5."""
+        a = Assessment.from_degrees(H5, {"g3": 0.6})
+        b = Assessment.from_degrees(H5, {"g2": 0.8})
+        root = AttributeNode("root", children=(
+            AttributeNode("x", reliability=0.9, importance=0.5, weight=0.2, assessments={"alt": a}),
+            AttributeNode("y", reliability=0.1, importance=0.5, weight=0.3, assessments={"alt": b}),
+        ))
+        model = EvaluationModel(H5, ("alt",), root)
+        message = "at node 'root': importance weights sum to 0.5, expected 1"
+        with pytest.raises(WeightSumError, match=f"^{message}$"):
+            evaluate_batch(model, "mer")
+        with pytest.raises(WeightSumError, match=f"^{message}$"):
+            evaluate(model, "mer", "alt")
+        for scheme in ("oer", "e2r"):  # only mer reads weights as importances
+            evaluate_batch(model, scheme)
+        path = tmp_path / "half.json"
+        path.write_text(save_model(model), encoding="utf-8")
+        assert main(["evaluate", "--algo", "mer", str(path)]) == EXIT_RUNTIME
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_trace_collection(self):
         model = toy_model()
