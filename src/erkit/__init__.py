@@ -3,12 +3,16 @@
 Belief-function primitives (discounting, Dempster-style combination, the
 pignistic transform), three flat aggregation algorithms for weighted
 distributed assessments, multi-level evaluation hierarchies, a decision
-layer, model serialization, and a synthesis-axiom audit harness.
+layer, model serialization, and a synthesis-axiom audit harness.  The
+primitives (:mod:`erkit.dst`) are the independent oracle of the
+aggregation kernel; the two share only the frame of grades
+(:mod:`erkit.frame`).
 
 The package exports its public names lazily (PEP 562): ``import erkit``
 loads no submodule and not numpy.  ``from erkit import X``, ``erkit.X``
 and ``erkit.<submodule>`` import the submodule that defines ``X`` on first
-use, so code that needs only :mod:`erkit.dst` never loads the rest.
+use, so code that needs only :mod:`erkit.dst` loads it, ``erkit.frame``
+and ``erkit.errors`` and never the rest.
 """
 
 import importlib
@@ -19,8 +23,7 @@ __version__ = "0.1.0"
 _PUBLIC = {
     "algorithms": (
         "AGGREGATORS", "AggregationTrace", "Assessment", "CombinedAssessment", "TraceStep",
-        "WeightedAssessment", "aggregate", "assessment_to_bba", "e2r_aggregate",
-        "mer_aggregate", "oer_aggregate",
+        "WeightedAssessment", "aggregate", "e2r_aggregate", "mer_aggregate", "oer_aggregate",
     ),
     "axioms": (
         "AXIOMS", "AxiomAuditEntry", "AxiomVerdict", "audit_axioms", "check_axiom",
@@ -32,7 +35,7 @@ _PUBLIC = {
         "redistribute_unknown",
     ),
     "dst": (
-        "GeneralMassFunction", "GradeFrame", "MassFunction", "belief", "dempster_combine",
+        "GeneralMassFunction", "MassFunction", "assessment_to_bba", "belief", "dempster_combine",
         "extended_dempster_combine", "generic_combine", "importance_discount", "normalize_ibba",
         "pignistic", "pignistic_probability", "plausibility", "reliability_discount",
         "reliability_importance_discount",
@@ -41,6 +44,7 @@ _PUBLIC = {
         "AxiomInapplicableError", "CompleteConflictError", "DegenerateMassError", "ErkitError",
         "FrameMismatchError", "ModelFormatError", "ModelValidationError", "WeightSumError",
     ),
+    "frame": ("GradeFrame",),
     "hierarchy": (
         "AssessmentTable", "AttributeNode", "BatchEvaluation", "Diagnostic", "EvaluationModel",
         "derive_reliabilities", "evaluate", "evaluate_batch", "validate",

@@ -32,7 +32,8 @@ at a time, at the cost of rounding in the last bit or two against an
 exactly rounded sum (≤1e-15 on the motorcycle benchmark).  The conflict
 and Omega checks raise if any alternative fails.  The
 discount-and-combine pipelines of :mod:`erkit.dst` stay apart from the
-kernel as independent oracles in the test suite.
+kernel as independent oracles in the test suite: the two share only
+:mod:`erkit.frame`, and this module never imports :mod:`erkit.dst`.
 """
 
 from __future__ import annotations
@@ -45,8 +46,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .dst import CONFLICT_TOL, GradeFrame, MassFunction
 from .errors import CompleteConflictError, DegenerateMassError, FrameMismatchError, WeightSumError
+from .frame import CONFLICT_TOL, GradeFrame
 
 #: Belief degrees of one assessment may undershoot 1 (incompleteness) but
 #: never exceed it beyond this tolerance.
@@ -99,17 +100,21 @@ class WeightedAssessment:
     """An assessment together with its aggregation factors.
 
     ``weight`` feeds the single-factor schemes; ``reliability`` and
-    ``importance`` feed the two-factor scheme.  Unused factors default to 1.
+    ``importance`` feed the two-factor scheme.  An omitted weight is read as
+    the reliability under ``oer`` and as the importance under ``mer``, as a
+    hierarchy node's is; omitted reliabilities and importances are 1.
     """
 
     assessment: Assessment
-    weight: float = 1.0
+    weight: float | None = None
     reliability: float = 1.0
     importance: float = 1.0
 
     def __post_init__(self):
         for name in ("weight", "reliability", "importance"):
             value = getattr(self, name)
+            if name == "weight" and value is None:
+                continue  # omitted: the scheme reads its own factor instead
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} {value!r} outside [0, 1]")
 
@@ -182,11 +187,6 @@ class TraceStep:
 @dataclass(frozen=True)
 class AggregationTrace:
     steps: tuple[TraceStep, ...]
-
-
-def assessment_to_bba(a: Assessment) -> MassFunction:
-    """Interpret belief degrees as singleton masses, residual as ignorance."""
-    return MassFunction(a.frame, a.degrees, a.unassigned)
 
 
 def _common_frame(items: Sequence[WeightedAssessment]) -> GradeFrame:

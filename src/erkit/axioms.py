@@ -37,8 +37,8 @@ from typing import Sequence
 import numpy as np
 
 from .algorithms import Assessment, WeightedAssessment, _aggregate, _common_frame, _factors, _scheme
-from .dst import GradeFrame
 from .errors import AxiomInapplicableError
+from .frame import GradeFrame
 
 AXIOMS = ("independence", "consensus", "completeness", "incompleteness")
 

@@ -8,9 +8,9 @@ Each command imports only the modules it runs.  At import this module loads
 ``erkit`` and ``erkit.errors`` and no numpy, so ``--help``, ``--version``
 and usage errors load no library module; a library name (``_LIBRARY``) is
 imported from its module on first read.  ``check-axioms`` loads
-``erkit.axioms`` and what it needs (``algorithms``, ``dst``, numpy), and
+``erkit.axioms`` and what it needs (``algorithms``, ``frame``, numpy), and
 ``evaluate`` and ``compare`` load ``modelio`` and what it needs, but not
-``axioms``.  The commands read these names through the module, so a
+``axioms``; no command loads the oracle module ``erkit.dst``.  The commands read these names through the module, so a
 wrapper set on ``erkit.cli`` in place of one is what runs.
 
 Exit codes: 0 success, 1 validation failure, 2 runtime aggregation failure

@@ -10,8 +10,8 @@ from operator import mul
 from typing import TYPE_CHECKING, Mapping
 
 from .algorithms import CombinedAssessment, DEGREE_SUM_TOL, _fields_equal
-from .dst import GradeFrame
 from .errors import FrameMismatchError
+from .frame import GradeFrame
 
 if TYPE_CHECKING:
     import numpy as np

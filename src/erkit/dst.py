@@ -1,6 +1,12 @@
-"""Frame-of-discernment and mass-function primitives.
+"""Mass-function primitives: the independent oracle of the aggregation kernel.
 
-The mass functions used throughout the toolkit are specialized to the focal
+The original ER algorithm is reliability discounting plus Dempster's rule,
+the modified one importance discounting plus the extended rule; the tests
+assemble both from the parts here and hold :mod:`erkit.algorithms` to them.
+The two modules share only :mod:`erkit.frame`, whose ``GradeFrame`` this
+module re-exports; no command loads this one, and it loads no numpy.
+
+The mass functions here are specialized to the focal
 structure that distributed assessments actually produce: singleton grades,
 the whole frame (global ignorance), and optionally the indecisiveness
 element Omega introduced by importance discounting.  Omega is a formal
@@ -18,60 +24,13 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 from .errors import CompleteConflictError, DegenerateMassError, FrameMismatchError
+from .frame import CONFLICT_TOL, GradeFrame
 
 #: Tolerance on the total mass of a well-formed (I)BBA.
 MASS_SUM_TOL = 1e-9
 
-#: Below this normalization denominator a combination counts as total conflict.
-CONFLICT_TOL = 1e-12
-
 BBA = "bba"
 IBBA = "ibba"
-
-
-@dataclass(frozen=True)
-class GradeFrame:
-    """Ordered frame of discernment: the evaluation grades, worst first."""
-
-    grades: tuple[str, ...]
-
-    def __init__(self, grades: Iterable[str]):
-        object.__setattr__(self, "grades", tuple(grades))
-        if len(self.grades) < 2:
-            raise ValueError("a frame needs at least two grades")
-        if len(set(self.grades)) != len(self.grades):
-            raise ValueError("grade labels must be unique")
-        if any(not g for g in self.grades):
-            raise ValueError("grade labels must be non-empty")
-
-    @property
-    def size(self) -> int:
-        return len(self.grades)
-
-    def index(self, grade: str) -> int:
-        try:
-            return self.grades.index(grade)
-        except ValueError:
-            raise FrameMismatchError(f"grade {grade!r} is not in the frame") from None
-
-    def subset_mask(self, grades: Iterable[str]) -> int:
-        """Encode a collection of grade labels as a bitset."""
-        mask = 0
-        for g in grades:
-            mask |= 1 << self.index(g)
-        return mask
-
-    def mask_labels(self, mask: int) -> tuple[str, ...]:
-        """Decode a bitset back into grade labels."""
-        self._check_mask(mask)
-        return tuple(g for i, g in enumerate(self.grades) if mask >> i & 1)
-
-    def full_mask(self) -> int:
-        return (1 << self.size) - 1
-
-    def _check_mask(self, mask: int) -> None:
-        if not 0 <= mask <= self.full_mask():
-            raise FrameMismatchError(f"bitset {mask:#x} does not fit a {self.size}-grade frame")
 
 
 def _as_mask(frame: GradeFrame, subset: int | Iterable[str]) -> int:
@@ -263,6 +222,15 @@ def pignistic_probability(m: GeneralMassFunction, subset: int | Iterable[str]) -
         for b, value in m.focal_masses.items()
         if mask & b
     )
+
+
+def assessment_to_bba(a) -> MassFunction:
+    """Interpret belief degrees as singleton masses, residual as ignorance.
+
+    ``a`` is any object with a ``frame``, ``degrees`` and ``unassigned``,
+    such as an :class:`~erkit.algorithms.Assessment`.
+    """
+    return MassFunction(a.frame, a.degrees, a.unassigned)
 
 
 def _require_plain(m: MassFunction, op: str) -> None:

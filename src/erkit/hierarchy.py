@@ -58,8 +58,8 @@ from .algorithms import (
     _scheme,
 )
 from .decision import UtilityFunction
-from .dst import GradeFrame
 from .errors import ErkitError, FrameMismatchError, ModelValidationError
+from .frame import GradeFrame
 
 #: The name every report gives the unassigned degree's column; no grade may take it.
 UNASSIGNED = "Unknown"

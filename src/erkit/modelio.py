@@ -57,8 +57,8 @@ import numpy as np
 
 from .algorithms import DEGREE_SUM_TOL, Assessment, _fields_equal
 from .decision import RankedResult, UtilityFunction
-from .dst import GradeFrame
 from .errors import ModelFormatError
+from .frame import GradeFrame
 from .hierarchy import (
     UNASSIGNED,
     AssessmentTable,

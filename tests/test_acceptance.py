@@ -27,14 +27,12 @@ publication:
 import math
 import time
 from dataclasses import replace
-from functools import reduce
 
 import numpy as np
 
 from erkit import (
     AGGREGATORS,
     MassFunction,
-    assessment_to_bba,
     audit_axioms,
     decide,
     dempster_combine,
@@ -49,7 +47,6 @@ from erkit import (
     mer_aggregate,
     motorcycle_json,
     motorcycle_model,
-    normalize_ibba,
     oer_aggregate,
     pignistic,
     reliability_discount,
@@ -59,6 +56,7 @@ from erkit import (
 )
 from erkit.cli import main
 
+import dst_reference
 from randgen import (
     frame_of,
     random_general,
@@ -106,24 +104,17 @@ def benchmark_decisions():
 def importance_pipeline_utilities(model) -> dict[str, float]:
     """Expected utilities by importance discounting and combination, from erkit.dst only.
 
-    Each node's result is importance-discounted by its own importance,
-    siblings are combined by the extended orthogonal sum and Omega is folded
-    back; the root is scored through its pignistic probabilities.
+    Each node's result is importance-discounted by its own importance (the
+    model gives no weights), siblings are combined by the extended orthogonal
+    sum and Omega is folded back (``dst_reference``); the root is scored
+    through its pignistic probabilities.
     """
-
-    def node_bba(node, alt):
-        if node.is_basic:
-            return assessment_to_bba(node.assessments[alt])
-        discounted = [
-            importance_discount(node_bba(child, alt), child.importance)
-            for child in node.children
-        ]
-        return normalize_ibba(reduce(extended_dempster_combine, discounted))
-
     return {
         alt: math.fsum(
             p * model.utility.of(grade)
-            for grade, p in pignistic(node_bba(model.root, alt).to_general()).items()
+            for grade, p in pignistic(
+                dst_reference.evaluate("mer", model.root, alt)[model.root.name].to_general()
+            ).items()
         )
         for alt in model.alternatives
     }
@@ -246,11 +237,7 @@ def test_criterion_3_reliability_pipeline_equivalence():
     for _ in range(1000):
         items = random_items(rng)
         direct = oer_aggregate(items)
-        discounted = [
-            reliability_discount(assessment_to_bba(i.assessment), i.weight)
-            for i in items
-        ]
-        folded = reduce(dempster_combine, discounted)
+        folded = dst_reference.aggregate("oer", items)
         worst = max(
             worst,
             _combined_max_delta(
@@ -272,11 +259,7 @@ def test_criterion_4_importance_pipeline_equivalence():
     for _ in range(1000):
         items = random_items(rng, normalized_weights=True)
         direct = mer_aggregate(items)
-        discounted = [
-            importance_discount(assessment_to_bba(i.assessment), i.weight)
-            for i in items
-        ]
-        folded = normalize_ibba(reduce(extended_dempster_combine, discounted))
+        folded = dst_reference.aggregate("mer", items)
         worst = max(
             worst,
             _combined_max_delta(

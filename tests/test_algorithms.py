@@ -2,10 +2,8 @@
 
 The central checks are the dual-route equivalences: each aggregator's
 closed-form recursion must match the corresponding discount-and-combine
-pipeline assembled from the mass-function primitives.
+pipeline assembled from the mass-function primitives (``dst_reference``).
 """
-
-from functools import reduce
 
 import numpy as np
 import pytest
@@ -20,20 +18,18 @@ from erkit import (
     WeightSumError,
     WeightedAssessment,
     assessment_to_bba,
-    dempster_combine,
     e2r_aggregate,
-    extended_dempster_combine,
-    importance_discount,
     mer_aggregate,
-    normalize_ibba,
     oer_aggregate,
-    reliability_discount,
-    reliability_importance_discount,
 )
 
+import dst_reference
 from randgen import frame_of, random_assessment, random_items
 
 H5 = frame_of(5)
+
+#: Two assessments on two grades, for items that give a factor but no weight.
+PAIR = (Assessment(frame_of(2), (0.3, 0.7)), Assessment(frame_of(2), (0.6, 0.2)))
 
 
 # ---------------------------------------------------------------------------
@@ -41,36 +37,10 @@ H5 = frame_of(5)
 # ---------------------------------------------------------------------------
 
 
-def reliability_pipeline(items) -> CombinedAssessment:
-    """Shafer-discount each item by its weight, then fold with Dempster's rule."""
-    discounted = [
-        reliability_discount(assessment_to_bba(item.assessment), item.weight)
-        for item in items
-    ]
-    combined = reduce(dempster_combine, discounted)
-    return CombinedAssessment(combined.frame, combined.singletons, combined.frame_mass)
-
-
-def importance_pipeline(items) -> CombinedAssessment:
-    """Importance-discount, fold with the extended rule, fold Omega back."""
-    discounted = [
-        importance_discount(assessment_to_bba(item.assessment), item.weight)
-        for item in items
-    ]
-    combined = normalize_ibba(reduce(extended_dempster_combine, discounted))
-    return CombinedAssessment(combined.frame, combined.singletons, combined.frame_mass)
-
-
-def two_factor_pipeline(items) -> CombinedAssessment:
-    """Joint discounting, extended combination, final normalization."""
-    discounted = [
-        reliability_importance_discount(
-            assessment_to_bba(item.assessment), item.reliability, item.importance
-        )
-        for item in items
-    ]
-    combined = normalize_ibba(reduce(extended_dempster_combine, discounted))
-    return CombinedAssessment(combined.frame, combined.singletons, combined.frame_mass)
+def pipeline(scheme, items) -> CombinedAssessment:
+    """The oracle's discount-and-combine result for ``items`` under ``scheme``."""
+    m = dst_reference.aggregate(scheme, items)
+    return CombinedAssessment(m.frame, m.singletons, m.frame_mass)
 
 
 def combined_close(a: CombinedAssessment, b: CombinedAssessment, tol=1e-10):
@@ -156,9 +126,10 @@ class TestOerAggregate:
 
     def test_matches_reliability_pipeline(self):
         rng = np.random.default_rng(101)
-        for _ in range(400):
-            items = random_items(rng)
-            combined_close(oer_aggregate(items), reliability_pipeline(items))
+        # items that give no weight are discounted by their reliability
+        omitted = [WeightedAssessment(a, reliability=0.5) for a in PAIR]
+        for items in [omitted, *(random_items(rng) for _ in range(400))]:
+            combined_close(oer_aggregate(items), pipeline("oer", items))
 
 
 # ---------------------------------------------------------------------------
@@ -198,9 +169,10 @@ class TestMerAggregate:
 
     def test_matches_importance_pipeline(self):
         rng = np.random.default_rng(202)
-        for _ in range(400):
-            items = random_items(rng, normalized_weights=True)
-            combined_close(mer_aggregate(items), importance_pipeline(items))
+        # items that give no weight are discounted by their importance, which sum to one
+        omitted = [WeightedAssessment(a, importance=0.5) for a in PAIR]
+        for items in [omitted, *(random_items(rng, normalized_weights=True) for _ in range(400))]:
+            combined_close(mer_aggregate(items), pipeline("mer", items))
 
 
 # ---------------------------------------------------------------------------
@@ -243,13 +215,13 @@ class TestE2rAggregate:
             WeightedAssessment(braking, reliability=0.7, importance=0.3),
             WeightedAssessment(feel, reliability=0.2, importance=0.3),
         ]
-        combined_close(e2r_aggregate(items), two_factor_pipeline(items), 1e-12)
+        combined_close(e2r_aggregate(items), pipeline("e2r", items), 1e-12)
 
     def test_matches_two_factor_pipeline_randomized(self):
         rng = np.random.default_rng(505)
         for _ in range(400):
             items = random_items(rng)
-            combined_close(e2r_aggregate(items), two_factor_pipeline(items))
+            combined_close(e2r_aggregate(items), pipeline("e2r", items))
 
     def test_all_zero_importance_rejected(self):
         a = Assessment.from_degrees(H5, {"g4": 1.0})
@@ -274,7 +246,7 @@ class TestInputChecks:
     def test_frame_mismatch_raises(self, algorithm):
         from erkit import AGGREGATORS
 
-        # the two default weights sum to 2: for mer the frame check must come first
+        # the two default importances sum to 2: for mer the frame check must come first
         a = WeightedAssessment(random_assessment(np.random.default_rng(0), H5))
         b = WeightedAssessment(random_assessment(np.random.default_rng(0), frame_of(3)))
         with pytest.raises(FrameMismatchError):

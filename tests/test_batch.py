@@ -4,7 +4,6 @@ import itertools
 import json
 import math
 from dataclasses import replace
-from functools import reduce
 
 import numpy as np
 import pytest
@@ -16,34 +15,30 @@ from erkit import (
     Assessment,
     AttributeNode,
     CompleteConflictError,
+    ErkitError,
     EvaluationModel,
     GradeFrame,
     ModelValidationError,
     TraceStep,
     UtilityFunction,
     WeightedAssessment,
-    assessment_to_bba,
+    aggregate,
     decide,
     derive_reliabilities,
-    dempster_combine,
     evaluate,
     evaluate_batch,
     expected_utility,
-    extended_dempster_combine,
-    importance_discount,
     load_model,
     motorcycle_json,
     motorcycle_model,
-    normalize_ibba,
     redistribute_unknown,
-    reliability_discount,
-    reliability_importance_discount,
     save_results,
     validate,
 )
 from erkit.cli import EXIT_RUNTIME, _run_algorithms, main
 from erkit.modelio import trace_to_json
 
+import dst_reference
 from randgen import frame_of, random_assessment
 
 #: The tolerance the acceptance suite holds the aggregators to against erkit.dst.
@@ -87,33 +82,8 @@ def random_tree_model(seed, depth, branching, grades, alternatives):
 
 
 def dst_results(model, scheme, alternative):
-    """(assigned, unassigned) per node path, from the erkit.dst pipelines only.  A child's
-    weight, where given, replaces its reliability under oer and its importance under mer."""
-
-    def visit(node, path):
-        if node.is_basic:
-            mass = assessment_to_bba(node.assessments[alternative])
-            out[path] = mass
-            return mass
-        parts = []
-        for child in node.children:
-            mass = visit(child, f"{path}/{child.name}")
-            weight = child.weight
-            if scheme == "oer":
-                parts.append(reliability_discount(mass, child.reliability if weight is None else weight))
-            elif scheme == "mer":
-                parts.append(importance_discount(mass, child.importance if weight is None else weight))
-            else:
-                parts.append(reliability_importance_discount(mass, child.reliability, child.importance))
-        if scheme == "oer":
-            mass = reduce(dempster_combine, parts)
-        else:
-            mass = normalize_ibba(reduce(extended_dempster_combine, parts))
-        out[path] = mass
-        return mass
-
-    out = {}
-    visit(model.root, model.root.name)
+    """(assigned, unassigned) per node path, from the erkit.dst pipelines only (``dst_reference``)."""
+    out = dst_reference.evaluate(scheme, model.root, alternative)
     return {path: (m.singletons, m.frame_mass) for path, m in out.items()}
 
 
@@ -156,14 +126,10 @@ def test_batch_equals_per_alternative_on_the_motorcycle_model(scheme):
     assert_batch_equals_evaluate(model, batch)
 
 
-def _weighted(scheme, assessment, node):
-    """``assessment`` carrying ``node``'s own weight, reliability and importance.  A node
-    without a weight takes its reliability under oer and its importance otherwise, as
-    :class:`~erkit.AttributeNode` documents; e2r reads no weight."""
-    weight = node.weight
-    if weight is None:
-        weight = node.reliability if scheme == "oer" else node.importance
-    return WeightedAssessment(assessment, weight, node.reliability, node.importance)
+def _weighted(assessment, node):
+    """``assessment`` carrying ``node``'s own weight, reliability and importance; a weight
+    the node omits is omitted on the item too, and read by the same rule."""
+    return WeightedAssessment(assessment, node.weight, node.reliability, node.importance)
 
 
 def _step_of(step, a):
@@ -192,7 +158,7 @@ def assert_batch_equals_the_flat_aggregators(model):
             steps = batch.traces[plan.paths[i]].steps
             for a, alt in enumerate(model.alternatives):
                 rows = [Assessment(model.frame, tuple(batch.assigned[j, a].tolist())) for j in kids]
-                items = [_weighted(scheme, row, plan.nodes[j]) for row, j in zip(rows, kids)]
+                items = [_weighted(row, plan.nodes[j]) for row, j in zip(rows, kids)]
                 result, trace = AGGREGATORS[scheme](items, with_trace=True)
                 where = (scheme, plan.paths[i], alt)
                 assert result.assigned == tuple(batch.assigned[i, a].tolist()), where
@@ -216,6 +182,61 @@ def test_batch_equals_the_flat_aggregators(seed, depth, branching, grades, alter
     assert_batch_equals_the_flat_aggregators(
         random_model(seed, depth, branching, grades, alternatives)
     )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    grades=st.integers(2, 5),
+    weights=st.lists(st.sampled_from(["omitted", "importance", "drawn", "one"]), min_size=1, max_size=6),
+    certain=st.booleans(),
+)
+def test_the_flat_api_is_a_one_level_tree(seed, grades, weights, certain):
+    """``aggregate(scheme, items)`` is, bit for bit, the root of a one-level tree whose leaves
+    carry the items' own factors, a weight omitted on an item omitted on its leaf; where the
+    flat side raises, the tree raises the same type.  ``certain`` draws one-grade assessments
+    and unit reliabilities, so that total conflict can occur."""
+    rng = np.random.default_rng(seed)
+    frame = frame_of(grades)
+    n = len(weights)
+    importances = [float(b) for b in rng.dirichlet(np.ones(n) * 2.0)]
+    weight_of = {
+        "omitted": lambda b: None,
+        "importance": lambda b: b,
+        "drawn": lambda b: float(rng.uniform(0.0, 1.0)),
+        "one": lambda b: 1.0,
+    }
+    items = [
+        WeightedAssessment(
+            Assessment(frame, tuple(np.eye(grades)[rng.integers(grades)].tolist()))
+            if certain
+            else random_assessment(rng, frame),
+            weight_of[kind](b),
+            1.0 if certain else float(rng.uniform(0.0, 1.0)),
+            b,
+        )
+        for kind, b in zip(weights, importances)
+    ]
+    leaves = tuple(
+        AttributeNode(
+            f"x{i}",
+            reliability=item.reliability,
+            importance=item.importance,
+            weight=item.weight,
+            assessments={"alt": item.assessment},
+        )
+        for i, item in enumerate(items)
+    )
+    model = EvaluationModel(frame, ("alt",), AttributeNode("root", children=leaves))
+    for scheme in AGGREGATORS:
+        try:
+            flat = aggregate(scheme, items)
+        except ErkitError as exc:
+            with pytest.raises(ErkitError) as raised:
+                evaluate(model, scheme, "alt")
+            assert type(raised.value) is type(exc), (scheme, raised.value, exc)
+            continue
+        assert evaluate(model, scheme, "alt")["root"] == flat, scheme
 
 
 def test_a_traced_report_folds_once_per_scheme(monkeypatch, capsys, tmp_path):

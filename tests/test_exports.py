@@ -29,11 +29,15 @@ PUBLIC = [
     "validate",
 ]
 
-SUBMODULES = ["algorithms", "axioms", "datasets", "decision", "dst", "errors", "hierarchy", "modelio"]
+SUBMODULES = [
+    "algorithms", "axioms", "datasets", "decision", "dst", "errors", "frame", "hierarchy", "modelio",
+]
 
 
 def test_public_names_are_pinned():
     assert erkit.__all__ == PUBLIC
+    # erkit.frame defines the frame; the oracle module keeps it importable by its old path
+    assert erkit.dst.GradeFrame is erkit.GradeFrame
 
 
 @pytest.mark.parametrize("module", SUBMODULES)
@@ -63,7 +67,7 @@ def test_an_unknown_name_is_an_attribute_error():
 
 def test_import_loads_no_submodule_and_not_numpy():
     """In a fresh interpreter, ``import erkit`` loads nothing else, and the
-    belief-function primitives load only the two modules they need."""
+    belief-function primitives load only the three modules they need."""
     code = (
         "import json, sys\n"
         "def loaded(): return sorted(m for m in sys.modules if m.startswith('erkit.') or m == 'numpy')\n"
@@ -75,4 +79,4 @@ def test_import_loads_no_submodule_and_not_numpy():
     src = str(Path(erkit.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
-    assert json.loads(result.stdout) == [[], ["erkit.dst", "erkit.errors"]]
+    assert json.loads(result.stdout) == [[], ["erkit.dst", "erkit.errors", "erkit.frame"]]
