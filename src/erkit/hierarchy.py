@@ -15,8 +15,10 @@ access.  A loaded model's tables are views of one buffer's rows; any other
 mapping of assessments is converted when the node is built.  A model
 without a utility function gets evenly spaced utilities.  :func:`validate`
 reports every structural problem of a model; among them, a node name
-holding ``/`` (the path separator) and a grade named :data:`UNASSIGNED`,
-the name every report gives the unassigned degree.
+that is empty or holds ``/`` (the path separator), a grade named
+:data:`UNASSIGNED`, the name every report gives the unassigned degree,
+and a node name, grade or alternative that does not encode as UTF-8, so
+a model it accepts saves and loads back.
 
 Evaluation runs on a model's :attr:`~EvaluationModel.plan`, compiled on
 first use: the tree walked once, iteratively, into a post-order of nodes
@@ -63,6 +65,30 @@ from .frame import GradeFrame
 
 #: The name every report gives the unassigned degree's column; no grade may take it.
 UNASSIGNED = "Unknown"
+
+
+def _encodes(text: str) -> bool:
+    """Whether ``text`` encodes as UTF-8; a JSON escape can give a lone surrogate, which does not."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
+# The name rules JSON sets, worded once for validate and for the loaders.
+def _name_fault(name) -> str | None:
+    """What a model file cannot hold in a node name; ``None`` if nothing."""
+    if not isinstance(name, str) or not name:
+        return "node name must be a non-empty string"
+    if not _encodes(name):
+        return f"node name {name!r} does not encode as UTF-8"
+    return None
+
+
+def _strings_fault(key: str, values) -> str | None:
+    """The fault of a list of names of which one does not encode as UTF-8; ``None`` if all do."""
+    return None if _encodes("".join(values)) else f"{key} holds a string that does not encode as UTF-8"
 
 
 class AssessmentTable(Mapping[str, Assessment]):
@@ -294,9 +320,15 @@ def validate(model: EvaluationModel) -> list[Diagnostic]:
         problems.append(
             Diagnostic(model.root.name, f"grade name {UNASSIGNED!r} is reserved for the unassigned degree")
         )
+    # Names become JSON text, so each must be one load_model takes.
+    for name, values in (("frame", model.frame.grades), ("alternatives", model.alternatives)):
+        if fault := _strings_fault(name, values):
+            problems.append(Diagnostic(model.root.name, fault))
     declared = set(model.alternatives)
     for path, node in model.walk():
-        if "/" in node.name:
+        if fault := _name_fault(node.name):
+            problems.append(Diagnostic(path, fault))
+        if isinstance(node.name, str) and "/" in node.name:
             problems.append(Diagnostic(path, "node name contains '/', the path separator"))
         for name in ("reliability", "importance", "weight"):
             value = getattr(node, name)

@@ -25,9 +25,10 @@ alternatives × grades) and ``unassigned`` (nodes × alternatives), and the
 redistributed degrees (alternatives × grades) as :func:`~erkit.decision.decide`
 gives them.  :func:`load_results` fills them, and the table, CSV and
 comparison reports read the root row only.  A :class:`ResultDocument`
-checks its structural invariants when it is built, so any document that
-can be built, with finite numbers, can be saved and loaded back;
-documents compare by value.
+checks its structural invariants when it is built, the layout of its
+traces included, so any document that can be built, with finite node
+numbers, can be saved and loaded back; the loader only turns JSON into
+its fields.  Documents compare by value.
 
 The JSON report is written straight from the arrays by one ``%`` template
 per document, so the per-node dicts are never built and the
@@ -65,6 +66,9 @@ from .hierarchy import (
     AttributeNode,
     BatchEvaluation,
     EvaluationModel,
+    _encodes,
+    _name_fault,
+    _strings_fault,
 )
 from .hierarchy import validate  # noqa: F401  the benchmark's traced child wraps this name
 
@@ -111,18 +115,27 @@ def _require(mapping: Mapping, key: str, where: str):
     return mapping[key]
 
 
-def _number(value, what: str, where: str) -> float:
-    """A JSON number as a finite float; booleans, numeric strings and numbers
-    beyond the double range (``1e400`` parses as infinity) are rejected."""
+def _double(value, what: str) -> float:
+    """A number as a finite float; booleans, numeric strings and numbers beyond
+    the double range (``1e400`` parses as infinity) raise ``ValueError``."""
     if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ModelFormatError(f"{where}: {what} must be a number, got {value!r}")
+        raise ValueError(f"{what} must be a number, got {value!r}")
     try:
         number = float(value)
     except OverflowError:
         number = math.inf
     if not math.isfinite(number):
-        raise ModelFormatError(f"{where}: {what} must be a finite double, got {value!r}")
+        raise ValueError(f"{what} must be a finite double, got {value!r}")
     return number
+
+
+def _number(value, what: str, where: str) -> float:
+    """A JSON number as a finite float, as :func:`_double` takes it; a fault
+    raises :class:`~erkit.errors.ModelFormatError` prefixed with ``where``."""
+    try:
+        return _double(value, what)
+    except ValueError as exc:
+        raise ModelFormatError(f"{where}: {exc}") from None
 
 
 def _parse_factor(raw: Mapping, key: str, where: str) -> float | None:
@@ -217,10 +230,8 @@ def _parse_tree(raw, frame: GradeFrame, where: str, strict: bool, renormalize: b
                 raise ModelFormatError(f"{where}: node must be an object")
             _reject_unknown(raw, _NODE_KEYS, where, strict)
             name = _require(raw, "name", where)
-            if not isinstance(name, str) or not name:
-                raise ModelFormatError(f"{where}: node name must be a non-empty string")
-            if not _encodes(name):
-                raise ModelFormatError(f"{where}: node name {name!r} does not encode as UTF-8")
+            if fault := _name_fault(name):
+                raise ModelFormatError(f"{where}: {fault}")
             here = f"{where}/{name}"
             children_raw = raw.get("children", [])
             if not isinstance(children_raw, list):
@@ -365,6 +376,31 @@ def trace_to_json(batch: BatchEvaluation) -> dict[str, dict[str, list[dict]]]:
     return out
 
 
+_TRACE_KEYS = {"singletons", "frame_mass", "omega_mass", "normalizer"}
+
+
+def _check_traces(traces, frame: tuple[str, ...]) -> None:
+    """Every trace step as :func:`trace_to_json` writes it: its four keys, the
+    singletons keyed by the frame's grades, and finite numbers; the first
+    fault raises ``ValueError``."""
+    if not (isinstance(traces, Mapping) and all(isinstance(t, Mapping) for t in traces.values())):
+        raise ValueError("traces must map alternatives to objects")
+    for alt, by_path in traces.items():
+        for path, steps in by_path.items():
+            here = f"trace of {path!r} for {alt!r}"
+            if not isinstance(steps, list):
+                raise ValueError(f"{here}: must be a list of steps")
+            what = f"{here}: trace mass"
+            for step in steps:
+                if not isinstance(step, Mapping) or step.keys() != _TRACE_KEYS:
+                    raise ValueError(f"{here}: a step must have the keys {sorted(_TRACE_KEYS)}")
+                masses = _in_frame_order(step["singletons"], frame)
+                if masses is None:
+                    raise ValueError(f"{here}: singletons must give one mass per grade")
+                for mass in (*masses, step["frame_mass"], step["omega_mass"], step["normalizer"]):
+                    _double(mass, what)
+
+
 @dataclass(frozen=True, eq=False)
 class ResultDocument:
     """Evaluation output of one algorithm over all alternatives.
@@ -374,11 +410,11 @@ class ResultDocument:
     ``paths`` (post-order, root last) and alternatives ``alternatives``.
     ``redistributed`` is (alternatives × grades).  Every structural
     invariant of the result schema is checked here, names that do not
-    encode as UTF-8 and a grade named ``Unknown`` included, so a document
-    that can be built can be saved and loaded back.  Left to the writer and
-    the loader: non-finite numbers, and traces not laid out as
-    :func:`trace_to_json` lays them out.
-    Documents are equal when their fields are, arrays elementwise.
+    encode as UTF-8, a grade named ``Unknown`` and traces not laid out as
+    :func:`trace_to_json` lays them out included, so a document that can be
+    built can be saved and loaded back; the writer alone refuses non-finite
+    node numbers.  Documents are equal when their fields are, arrays
+    elementwise.
     """
 
     algorithm: str
@@ -411,8 +447,8 @@ class ResultDocument:
             values = getattr(self, name)
             if len(set(values)) != len(values):
                 raise ValueError(f"{name} must be unique")
-            if not _encodes("".join(values)):
-                raise ValueError(f"{name} holds a string that does not encode as UTF-8")
+            if fault := _strings_fault(name, values):
+                raise ValueError(fault)
         if not _encodes(self.algorithm):
             raise ValueError(f"algorithm {self.algorithm!r} does not encode as UTF-8")
         if not all(p.startswith(self.paths[-1] + "/") for p in self.paths[:-1]):
@@ -422,6 +458,7 @@ class ResultDocument:
         if self.utilities.keys() != set(self.alternatives):
             raise ValueError("utilities must name exactly the alternatives")
         if self.traces is not None:
+            _check_traces(self.traces, self.frame)
             object.__setattr__(self, "traces", {a: dict(t) for a, t in self.traces.items()})
 
     def root_rows(self) -> tuple[list[list[float]], list[float]]:
@@ -545,21 +582,12 @@ def _require_object(mapping: Mapping, key: str, where: str) -> Mapping:
     return value
 
 
-def _encodes(text: str) -> bool:
-    """Whether ``text`` encodes as UTF-8; a JSON escape can give a lone surrogate, which does not."""
-    try:
-        text.encode("utf-8")
-    except UnicodeEncodeError:
-        return False
-    return True
-
-
 def _require_strings(mapping: Mapping, key: str, where: str) -> tuple[str, ...]:
     value = _require(mapping, key, where)
     if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
         raise ModelFormatError(f"{where}: {key} must be a list of strings")
-    if not _encodes("".join(value)):
-        raise ModelFormatError(f"{where}: {key} holds a string that does not encode as UTF-8")
+    if fault := _strings_fault(key, value):
+        raise ModelFormatError(f"{where}: {fault}")
     return tuple(value)
 
 
@@ -590,29 +618,6 @@ def _node_values(dist, frame: tuple[str, ...], where: str, path: str) -> list:
     return values
 
 
-_TRACE_KEYS = {"singletons", "frame_mass", "omega_mass", "normalizer"}
-
-
-def _check_traces(traces, frame: tuple[str, ...], where: str) -> None:
-    """Every trace step as :func:`trace_to_json` writes it: its four keys, the
-    singletons keyed by the frame's grades, and finite numbers."""
-    if not (isinstance(traces, Mapping) and all(isinstance(t, Mapping) for t in traces.values())):
-        raise ModelFormatError(f"{where}: traces must map alternatives to objects")
-    for alt, by_path in traces.items():
-        for path, steps in by_path.items():
-            here = f"{where}: trace of {path!r} for {alt!r}"
-            if not isinstance(steps, list):
-                raise ModelFormatError(f"{here}: must be a list of steps")
-            for step in steps:
-                if not isinstance(step, Mapping) or step.keys() != _TRACE_KEYS:
-                    raise ModelFormatError(f"{here}: a step must have the keys {sorted(_TRACE_KEYS)}")
-                masses = _in_frame_order(step["singletons"], frame)
-                if masses is None:
-                    raise ModelFormatError(f"{here}: singletons must give one mass per grade")
-                for mass in (*masses, step["frame_mass"], step["omega_mass"], step["normalizer"]):
-                    _number(mass, "trace mass", here)
-
-
 def _document_from_json(raw, where: str) -> ResultDocument:
     """One result document, every point of its schema checked, its node results as arrays."""
     if not isinstance(raw, Mapping):
@@ -624,9 +629,6 @@ def _document_from_json(raw, where: str) -> ResultDocument:
     alternatives = _require_strings(raw, "alternatives", where)
     results = _require_object(raw, "results", where)
     ranking = _require_strings(raw, "ranking", where)
-    traces = raw.get("traces")
-    if traces is not None:
-        _check_traces(traces, frame, where)
 
     paths: tuple[str, ...] = ()
     values, utilities = [], {}
@@ -677,7 +679,7 @@ def _document_from_json(raw, where: str) -> ResultDocument:
             redistributed=stacked[:, per_node:],
             utilities=utilities,
             ranking=ranking,
-            traces=traces,
+            traces=raw.get("traces"),
         )
     except ValueError as exc:  # the checks ResultDocument makes of itself
         raise ModelFormatError(f"{where}: {exc}") from exc

@@ -1,6 +1,7 @@
 """Tests for multi-level model validation and bottom-up evaluation."""
 
 import gc
+import re
 import weakref
 from dataclasses import replace
 
@@ -14,6 +15,7 @@ from erkit import (
     CompleteConflictError,
     ErkitError,
     EvaluationModel,
+    ModelFormatError,
     ModelValidationError,
     UtilityFunction,
     WeightedAssessment,
@@ -22,6 +24,7 @@ from erkit import (
     derive_reliabilities,
     evaluate,
     evaluate_batch,
+    load_model,
     motorcycle_model,
     oer_aggregate,
     save_model,
@@ -114,9 +117,52 @@ class TestDeriveReliabilities:
             derive_reliabilities(model)
 
 
+def _renamed(model, leaf_name=None, alternative=None):
+    """``model`` with its first leaf renamed ``leaf_name``, or its first
+    alternative renamed ``alternative`` wherever it is named."""
+
+    def rename(node, first):
+        if node.is_basic:
+            table = {
+                (alternative if alternative is not None and alt == model.alternatives[0] else alt): a
+                for alt, a in node.assessments.items()
+            }
+            name = leaf_name if first and leaf_name is not None else node.name
+            return replace(node, name=name, assessments=table)
+        return replace(node, children=tuple(rename(c, first and not i) for i, c in enumerate(node.children)))
+
+    alternatives = model.alternatives if alternative is None else (alternative, *model.alternatives[1:])
+    return replace(model, alternatives=alternatives, root=rename(model.root, True))
+
+
 class TestValidate:
     def test_bundled_benchmark_is_clean(self):
-        assert validate(motorcycle_model()) == []
+        model = motorcycle_model()
+        assert validate(model) == []
+        assert load_model(save_model(model)) == model  # a model validate accepts saves and loads back
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            pytest.param(dict(leaf_name=""), "node name must be a non-empty string", id="empty-leaf-name"),
+            pytest.param(
+                dict(leaf_name="\ud800"), "node name '\\ud800' does not encode as UTF-8", id="surrogate-leaf-name"
+            ),
+            pytest.param(
+                dict(alternative="\udc80"),
+                "alternatives holds a string that does not encode as UTF-8",
+                id="surrogate-alternative",
+            ),
+        ],
+    )
+    def test_names_the_loader_refuses(self, changes, message):
+        """A name ``load_model`` would refuse is a diagnostic, so evaluation refuses it too."""
+        model = _renamed(motorcycle_model(), **changes)
+        assert [d.message for d in validate(model)] == [message]
+        with pytest.raises(ModelFormatError, match=re.escape(message)):
+            load_model(save_model(model))
+        with pytest.raises(ModelValidationError, match=re.escape(message)):
+            evaluate_batch(model, "e2r")
 
     def test_importance_sum_violation(self):
         model = toy_model(importances=(0.5, 0.6))

@@ -415,12 +415,23 @@ _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 @st.composite
 def _result_fields(draw):
-    """The fields of a result document without traces: arbitrary names, finite numbers."""
+    """The fields of a result document: arbitrary names, finite numbers, and
+    traces or none, keyed by some of its alternatives and paths."""
     frame = tuple(draw(st.lists(_NAMES, min_size=1, max_size=4, unique=True)))
     alternatives = tuple(draw(st.lists(_NAMES, min_size=1, max_size=4, unique=True)))
     root = draw(_NAMES)
     paths = (*(f"{root}/{n}" for n in draw(st.lists(_NAMES, max_size=3, unique=True))), root)
     shape = (len(paths), len(alternatives))
+    step = st.fixed_dictionaries(
+        {
+            "singletons": st.fixed_dictionaries({g: _FINITE for g in frame}),
+            "frame_mass": _FINITE,
+            "omega_mass": _FINITE,
+            "normalizer": _FINITE,
+        }
+    )
+    by_path = st.dictionaries(st.sampled_from(paths), st.lists(step, min_size=1, max_size=3), max_size=2)
+    traces = st.none() | st.dictionaries(st.sampled_from(alternatives), by_path, max_size=2)
     return dict(
         algorithm=draw(_NAMES),
         frame=frame,
@@ -431,7 +442,15 @@ def _result_fields(draw):
         redistributed=draw(arrays(np.float64, (len(alternatives), len(frame)), elements=_FINITE)),
         utilities={alt: draw(_FINITE) for alt in alternatives},
         ranking=tuple(draw(st.permutations(alternatives))),
+        traces=draw(traces),
     )
+
+
+def _root_trace(document, step) -> dict:
+    """Traces of ``document``: the root's, for its first alternative, a well-formed
+    step and then ``step`` changed from it."""
+    good = {"singletons": dict.fromkeys(document.frame, 0.1), "frame_mass": 0.1, "omega_mass": 0.1, "normalizer": 1.0}
+    return {document.alternatives[0]: {document.paths[-1]: [good, step(dict(good))]}}
 
 
 class TestResultDocumentInvariants:
@@ -505,6 +524,21 @@ class TestResultDocumentInvariants:
                 lambda d: dict(paths=(*d.paths[:-1], d.paths[-1] + "\ud800")),
                 "paths holds a string that does not encode as UTF-8",
                 id="surrogate-path",
+            ),
+            pytest.param(
+                lambda d: dict(traces=_root_trace(d, lambda step: {"x": 1})),
+                r"trace of '.*' for 'Kawasaki': a step must have the keys",
+                id="trace-step-keys",
+            ),
+            pytest.param(
+                lambda d: dict(traces=_root_trace(d, lambda step: {**step, "omega_mass": "0.1"})),
+                r"trace of '.*' for 'Kawasaki': trace mass must be a number, got '0.1'",
+                id="trace-string-mass",
+            ),
+            pytest.param(
+                lambda d: dict(traces=_root_trace(d, lambda step: {**step, "frame_mass": True})),
+                r"trace of '.*' for 'Kawasaki': trace mass must be a number, got True",
+                id="trace-boolean-mass",
             ),
         ],
     )
