@@ -23,15 +23,15 @@ An item's frame mass is β·max(0, 1 − Σα·d).  For ``e2r`` this differs fro
 the closed form β·(α·u + 1 − α) by rounding only: at most about 1e-15 on
 ordinary inputs, more where near-total conflict amplifies it.
 
-The kernel is generic over the shape of a column: a Python float in the
-flat aggregators (no numpy call on that path), or a 1-D numpy array over
-alternatives when :mod:`erkit.hierarchy` folds a whole batch.  Every step
-is elementwise; sums over grades run left to right instead of through
-``math.fsum``, so a batch gives bit for bit what its alternatives give one
-at a time, at the cost of rounding in the last bit or two against an
-exactly rounded sum (≤1e-15 on the motorcycle benchmark).  The conflict
-and Omega checks raise if any alternative fails.  The
-discount-and-combine pipelines of :mod:`erkit.dst` stay apart from the
+The kernel folds one array per item, the grades on its first axis:
+``(grades,)`` in the flat aggregators, ``(grades × alternatives)`` when
+:mod:`erkit.hierarchy` folds a batch or :mod:`erkit.axioms` a group.  Every
+step is elementwise over the alternatives and sums over grades run left to
+right instead of through ``math.fsum``, so a batch gives bit for bit what
+its alternatives give one at a time, at the cost of rounding in the last
+bit or two against an exactly rounded sum (≤1e-15 on the motorcycle
+benchmark).  The conflict and Omega checks raise if any alternative fails.
+The discount-and-combine pipelines of :mod:`erkit.dst` stay apart from the
 kernel as independent oracles in the test suite: the two share only
 :mod:`erkit.frame`, and this module never imports :mod:`erkit.dst`.
 """
@@ -41,7 +41,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from functools import reduce
-from operator import add, mul
+from operator import add
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -170,10 +170,10 @@ class TraceStep:
     ``frame_mass`` holds the incompleteness part and ``omega_mass`` the
     weight/indecisiveness part where the scheme distinguishes them;
     ``normalizer`` is the conflict factor applied at this step (1 for the
-    first item).  Each mass is a float in the flat aggregators; in a traced
-    batch it is an array over the alternatives, or a float where every
-    alternative shares it.  Steps are equal when their masses are,
-    elementwise.
+    first item).  Each mass is a float in the flat aggregators, mostly an
+    ``np.float64``; in a traced batch it is an array over the alternatives,
+    or a float where every alternative shares it.  Steps are equal when
+    their masses are, elementwise.
     """
 
     singletons: tuple[float, ...]
@@ -202,11 +202,11 @@ def _common_frame(items: Sequence[WeightedAssessment]) -> GradeFrame:
 def _raise_where(flags, error, message):
     """Raise ``error`` if any alternative is flagged.
 
-    ``flags`` is a bool on float columns and a boolean array on array
-    columns; the array rides along on the exception as ``flagged`` so the
-    caller can name the alternatives that failed.
+    ``flags`` is a bool, numpy's too, for one alternative (no ``np.any`` per
+    flat step) and a boolean array for a batch, which rides along on the
+    exception as ``flagged`` so the caller can name the alternatives that failed.
     """
-    if isinstance(flags, bool):
+    if isinstance(flags, (bool, np.bool_)):
         if flags:
             raise error(message)
     elif flags.any():
@@ -215,44 +215,40 @@ def _raise_where(flags, error, message):
         raise exc
 
 
-def _aggregate(degrees, factors, with_trace=False):
+def _aggregate(blocks, factors, with_trace=False):
     """The aggregation kernel: discount, fold, fold Omega back.
 
-    ``degrees`` holds one sequence of per-grade columns per item and
-    ``factors`` one (reliability α, importance β) pair per item.  A column
-    is a float for one alternative or a 1-D array over alternatives; every
-    step is elementwise, so a batch gives, bit for bit, the results of its
-    alternatives taken one at a time.  The masses are β·α·d on the grades,
-    β·max(0, 1 − Σα·d) on the frame and 1 − β on Omega.  Returns the
-    assigned columns, the unassigned column and the trace steps (``None``
-    unless ``with_trace``).
+    ``blocks`` holds one array of degrees per item, grades on the first axis,
+    and ``factors`` one (reliability α, importance β) pair per item, floats
+    or arrays over the alternatives.  Each mass is one array expression:
+    β·α·d on the grades, β·max(0, 1 − Σα·d) on the frame, 1 − β on Omega.
+    The constants are ints and halvings, so object arrays of
+    :class:`fractions.Fraction` fold exactly.  Returns the assigned block,
+    the unassigned array and the trace steps (``None`` unless ``with_trace``).
     """
-    # Sums are left folds, ``reduce(add, ...)``: the same rounding for floats and
-    # arrays.  (x + |x|) / 2 is max(0, x) exactly, elementwise on arrays.
+    # (x + |x|) / 2 is max(0, x) exactly, elementwise on arrays.
     steps = [] if with_trace else None
     sing = None
-    for columns, (alpha, beta) in zip(degrees, factors):
-        discounted = [alpha * d for d in columns]
-        sing2 = [beta * x for x in discounted]
-        surplus = 1.0 - reduce(add, discounted)
-        mh2 = beta * ((surplus + abs(surplus)) * 0.5)
-        mo2 = 1.0 - beta
+    for block, (alpha, beta) in zip(blocks, factors):
+        discounted = alpha * block
+        sing2 = beta * discounted
+        surplus = 1 - reduce(add, discounted)
+        mh2 = beta * ((surplus + abs(surplus)) / 2)
+        mo2 = 1 - beta
         if sing is None:
             sing, mh, mo, k = sing2, mh2, mo2, 1.0
         else:
-            agree = reduce(add, map(mul, sing, sing2))
-            denom = 1.0 - (reduce(add, sing) * reduce(add, sing2) - agree)
+            agree = reduce(add, sing * sing2)
+            denom = 1 - (reduce(add, sing) * reduce(add, sing2) - agree)
             _raise_where(
                 denom <= CONFLICT_TOL,
                 CompleteConflictError,
                 "aggregation met totally conflicting assessments",
             )
-            k = 1.0 / denom
+            k = 1 / denom
             vague1 = mh + mo
             vague2 = mh2 + mo2
-            sing = [
-                k * (a * b + a * vague2 + vague1 * b) for a, b in zip(sing, sing2)
-            ]
+            sing = k * (sing * sing2 + sing * vague2 + vague1 * sing2)
             mh, mo = (
                 k * (mh * mh2 + mh * mo2 + mo * mh2),
                 k * mo * mo2,
@@ -264,8 +260,8 @@ def _aggregate(degrees, factors, with_trace=False):
         DegenerateMassError,
         "all combined mass sits on Omega; nothing to normalize",
     )
-    scale = 1.0 / (1.0 - mo)
-    return [scale * v for v in sing], scale * mh, steps
+    scale = 1 / (1 - mo)
+    return scale * sing, scale * mh, steps
 
 
 def _check_weight_sum(weights: Sequence[float]) -> None:
@@ -301,11 +297,12 @@ def _factor_pairs(algorithm: str, triples) -> list:
 
 
 def _combine(algorithm, items, with_trace):
-    """Run the kernel on flat items, factored as ``algorithm`` reads them; wrap its float columns."""
+    """Run the kernel on flat items' ``(grades,)`` blocks, factored as ``algorithm`` reads them."""
     frame = _common_frame(items)
     factors = _factor_pairs(algorithm, [(i.weight, i.reliability, i.importance) for i in items])
-    assigned, unassigned, steps = _aggregate([i.assessment.degrees for i in items], factors, with_trace)
-    result = CombinedAssessment(frame, tuple(assigned), unassigned)
+    blocks = np.array([i.assessment.degrees for i in items])
+    assigned, unassigned, steps = _aggregate(blocks, factors, with_trace)
+    result = CombinedAssessment(frame, tuple(assigned.tolist()), float(unassigned))
     if with_trace:
         return result, AggregationTrace(tuple(steps))
     return result

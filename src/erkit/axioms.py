@@ -223,7 +223,7 @@ def _verdicts(axiom: str, algorithm: str, degrees: np.ndarray, factors: np.ndarr
     alpha, beta = np.broadcast_arrays(*_factors(algorithm, *factors))
     assigned, unassigned, _ = _aggregate(degrees, list(zip(alpha, beta)))
     grades = tuple(f"g{i}" for i in range(degrees.shape[1]))
-    return _conclusion(axiom, grades, degrees, np.array(assigned), unassigned)
+    return _conclusion(axiom, grades, degrees, assigned, unassigned)
 
 
 @dataclass

@@ -26,16 +26,16 @@ and child positions, and every node's reliability; it holds nothing per
 scheme.  Compiling runs :func:`validate`, the one model check on the
 evaluation path, and takes an omitted general-node reliability as its
 children's mean, which :func:`derive_reliabilities` writes into the tree.
-Its leaf columns are the tables' arrays, put in the model's order of
-alternatives by one index array per leaf.  Each general node is folded by
+Its leaf columns are the tables' arrays as (grades × alternatives) blocks,
+in the model's order of alternatives by one index array per leaf.  Each general node is folded by
 the kernel of :mod:`erkit.algorithms` (not through ``AGGREGATORS``), its
 children's (α, β) read by the rule the flat aggregators use, mer's
 unit-sum check included.  :func:`evaluate_batch` folds every alternative
-at once, each column an array over the alternatives, and can keep the
-per-step traces; :func:`evaluate` is the same fold on one alternative's
-column.  Every kernel step is elementwise and its sums run in a fixed
-order, so the two agree bit for bit.  Traversals are iterative: tree depth
-is bounded by memory, not by the recursion limit.
+at once, each node's degrees a (grades × alternatives) block, and can keep
+the per-step traces; :func:`evaluate` is the same fold on one
+alternative's column.  Every kernel step is elementwise and its sums run
+in a fixed order, so the two agree bit for bit.  Traversals are iterative:
+tree depth is bounded by memory, not by the recursion limit.
 """
 
 from __future__ import annotations
@@ -414,8 +414,8 @@ class CompiledModel:
         self.reliabilities = tuple(reliabilities)
 
     @cached_property
-    def leaf_columns(self) -> dict[int, tuple[list[np.ndarray], np.ndarray]]:
-        """Per basic attribute: one array over alternatives per grade, and the unassigned array."""
+    def leaf_columns(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+        """Per basic attribute: its (grades × alternatives) block of degrees, and the unassigned array."""
         alternatives = self.alternatives
         out = {}
         for i, kids in enumerate(self.children):
@@ -424,7 +424,7 @@ class CompiledModel:
             table = self.nodes[i].assessments
             # One index array puts the table's rows in the model's order of alternatives.
             order = slice(None) if table.names == alternatives else list(map(table.rows.get, alternatives))
-            out[i] = list(table.degrees[order].T.copy()), table.unassigned[order]
+            out[i] = table.degrees[order].T.copy(), table.unassigned[order]
         return out
 
 
@@ -432,10 +432,10 @@ def _fold(plan: CompiledModel, algorithm: str, columns: slice, with_trace: bool)
     """Fold every general node once, children before parents, on the
     alternatives ``columns`` selects from the plan's leaf columns.
 
-    Every column is an array over those alternatives.  Aggregation failures
-    are re-raised with the node path, and with the first alternative that
-    met them, so a deep tree or a long list of alternatives does not hide
-    which combination went wrong.
+    Each node's degrees are a (grades × alternatives) block.  Aggregation
+    failures are re-raised with the node path, and with the first
+    alternative that met them, so a deep tree or a long list of
+    alternatives does not hide which combination went wrong.
     """
     _scheme(algorithm)
     nodes, reliabilities, leaves = plan.nodes, plan.reliabilities, plan.leaf_columns
@@ -444,7 +444,7 @@ def _fold(plan: CompiledModel, algorithm: str, columns: slice, with_trace: bool)
     for i, kids in enumerate(plan.children):
         if not kids:
             assigned, unassigned = leaves[i]
-            results.append(([d[columns] for d in assigned], unassigned[columns]))
+            results.append((assigned[:, columns], unassigned[columns]))
             continue
         path = plan.paths[i]
         try:
@@ -481,7 +481,7 @@ def evaluate(
     results, _ = _fold(plan, algorithm, slice(j, j + 1), False)
     return {
         path: CombinedAssessment(
-            model.frame, tuple(np.concatenate(assigned).tolist()), unassigned.item()
+            model.frame, tuple(assigned[:, 0].tolist()), unassigned.item()
         )
         for path, (assigned, unassigned) in zip(plan.paths, results)
     }
@@ -515,8 +515,8 @@ def evaluate_batch(
 ) -> BatchEvaluation:
     """Evaluate every alternative at once, folding each general node once.
 
-    Each column of the kernel is an array over the alternatives, so the
-    results equal :func:`evaluate`'s bit for bit.  Every node's degrees
+    Each node's degrees are a (grades × alternatives) block of the kernel,
+    so the results equal :func:`evaluate`'s bit for bit.  Every node's degrees
     must lie in [0, 1] and sum to 1, within the tolerance
     :class:`~erkit.algorithms.CombinedAssessment` applies.  With
     ``with_trace`` the kernel's per-step masses are kept on ``traces``.

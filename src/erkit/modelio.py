@@ -380,23 +380,25 @@ _TRACE_KEYS = {"singletons", "frame_mass", "omega_mass", "normalizer"}
 
 
 def _check_traces(traces, frame: tuple[str, ...]) -> None:
-    """Every trace step as :func:`trace_to_json` writes it: its four keys, the
-    singletons keyed by the frame's grades, and finite numbers; the first
-    fault raises ``ValueError``."""
+    """Every trace step as :func:`trace_to_json` writes it, so that it saves and
+    loads back: string keys, each step a dict of its four keys, the singletons a
+    dict keyed by the frame's grades, finite numbers; the first fault raises ``ValueError``."""
     if not (isinstance(traces, Mapping) and all(isinstance(t, Mapping) for t in traces.values())):
         raise ValueError("traces must map alternatives to objects")
     for alt, by_path in traces.items():
+        if not (isinstance(alt, str) and all(isinstance(path, str) for path in by_path)):
+            raise ValueError(f"traces for {alt!r} must name the alternative and its paths by strings")
         for path, steps in by_path.items():
             here = f"trace of {path!r} for {alt!r}"
             if not isinstance(steps, list):
                 raise ValueError(f"{here}: must be a list of steps")
             what = f"{here}: trace mass"
             for step in steps:
-                if not isinstance(step, Mapping) or step.keys() != _TRACE_KEYS:
-                    raise ValueError(f"{here}: a step must have the keys {sorted(_TRACE_KEYS)}")
+                if not isinstance(step, dict) or step.keys() != _TRACE_KEYS:
+                    raise ValueError(f"{here}: a step must have the keys {sorted(_TRACE_KEYS)} in a dict")
                 masses = _in_frame_order(step["singletons"], frame)
                 if masses is None:
-                    raise ValueError(f"{here}: singletons must give one mass per grade")
+                    raise ValueError(f"{here}: singletons must give one mass per grade in a dict")
                 for mass in (*masses, step["frame_mass"], step["omega_mass"], step["normalizer"]):
                     _double(mass, what)
 
@@ -592,12 +594,11 @@ def _require_strings(mapping: Mapping, key: str, where: str) -> tuple[str, ...]:
 
 
 def _in_frame_order(degrees, frame: tuple[str, ...]) -> list | None:
-    """The values of a grade -> value object in frame order; ``None`` unless it
-    names exactly the frame's grades."""
-    try:
-        return [degrees[g] for g in frame] if len(degrees) == len(frame) else None
-    except (KeyError, TypeError):
-        return None
+    """The values of a grade -> value dict in frame order; ``None`` unless it is
+    a dict naming exactly the frame's grades."""
+    if isinstance(degrees, dict) and len(degrees) == len(frame) and all(g in degrees for g in frame):
+        return [degrees[g] for g in frame]
+    return None
 
 
 def _node_values(dist, frame: tuple[str, ...], where: str, path: str) -> list:

@@ -314,7 +314,11 @@ class TestTraces:
         assert isinstance(trace, AggregationTrace)
         assert len(trace.steps) == len(items)
         assert trace.steps[0].normalizer == 1.0
+        # The flat API hands out Python floats; a trace's masses may be np.float64, a float subclass.
+        assert all(type(x) is float for x in (*result.assigned, result.unassigned))
         for step in trace.steps:
+            masses = (*step.singletons, step.frame_mass, step.omega_mass, step.normalizer)
+            assert all(isinstance(x, float) for x in masses), masses
             total = math.fsum((*step.singletons, step.frame_mass, step.omega_mass))
             assert total == pytest.approx(1.0, abs=1e-9)
         # the last step carries the pre-normalization masses of the result

@@ -4,10 +4,13 @@ import itertools
 import json
 import math
 from dataclasses import replace
+from fractions import Fraction
+from functools import reduce
+from operator import mul
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings, target
 from hypothesis import strategies as st
 
 from erkit import (
@@ -15,6 +18,7 @@ from erkit import (
     Assessment,
     AttributeNode,
     CompleteConflictError,
+    DegenerateMassError,
     ErkitError,
     EvaluationModel,
     GradeFrame,
@@ -35,11 +39,12 @@ from erkit import (
     save_results,
     validate,
 )
+from erkit.algorithms import _aggregate, _factor_pairs, _factors
 from erkit.cli import EXIT_RUNTIME, _run_algorithms, main
 from erkit.modelio import trace_to_json
 
 import dst_reference
-from randgen import frame_of, random_assessment
+from randgen import frame_of, random_assessment, random_items
 
 #: The tolerance the acceptance suite holds the aggregators to against erkit.dst.
 DST_TOL = 1e-10
@@ -239,6 +244,103 @@ def test_the_flat_api_is_a_one_level_tree(seed, grades, weights, certain):
         assert evaluate(model, scheme, "alt")["root"] == flat, scheme
 
 
+EPS = np.finfo(float).eps
+
+
+def _exactly(array):
+    """``array`` as an object array of the Fractions its floats are exactly."""
+    return np.vectorize(Fraction, otypes=[object])(array)
+
+
+def _rounding_bound(steps, items, grades, inherited=0.0):
+    """A first-order bound on the float kernel's error in one fold, per alternative.
+
+    ``steps`` is the exact fold's trace; the product of its normalizers 1/denom and
+    the final 1/(1 − Omega) is the fold's conditioning.  Each of the fold's items ×
+    grades masses may add 2ε, and ``inherited`` bounds the error of the blocks
+    folded in.  With x that sum times the conditioning, the bound is x / (1 − x),
+    and there is none once x reaches 1.
+    """
+    cond = reduce(mul, [s.normalizer for s in steps]) / (1 - steps[-1].omega_mass)
+    x = np.asarray(cond * (2 * items * grades * EPS + inherited), dtype=float)
+    return np.where(x < 1, x / np.maximum(1 - x, EPS), np.inf)
+
+
+def _fraction_pairs(factors):
+    return [(Fraction(alpha), Fraction(beta)) for alpha, beta in factors]
+
+
+@pytest.mark.parametrize("scheme", AGGREGATORS)
+def test_the_kernel_folds_fractions_exactly_and_floats_within_the_rounding_bound(monkeypatch, scheme):
+    """Fraction object arrays fold exactly, flat and through the plan's fold, and the float
+    kernel stays within the rounding bound of that exact run.  The exact run shares the
+    kernel's formulas, so this checks rounding only; erkit.dst stays the oracle for
+    correctness."""
+    from erkit import hierarchy
+
+    grades = 4
+    items = random_items(np.random.default_rng(11), 5, grades, normalized_weights=scheme == "mer")
+    factors = _factor_pairs(scheme, [(i.weight, i.reliability, i.importance) for i in items])
+    blocks = np.array([i.assessment.degrees for i in items])
+    assigned, unassigned, steps = _aggregate(_exactly(blocks), _fraction_pairs(factors), True)
+    assert all(type(x) is Fraction for x in (*assigned, unassigned))
+    rounded = aggregate(scheme, items)
+    error = np.abs(_exactly([*rounded.assigned, rounded.unassigned]) - [*assigned, unassigned]).max()
+    assert 0 < error <= _rounding_bound(steps, len(items), grades)
+
+    model = random_model(5, 3, 3, grades, 6)
+    plan = model.plan
+    exact_plan = hierarchy.CompiledModel(model)
+    exact_plan.leaf_columns = {i: (_exactly(b), _exactly(u)) for i, (b, u) in plan.leaf_columns.items()}
+    factor_pairs = hierarchy._factor_pairs
+    monkeypatch.setattr(hierarchy, "_factor_pairs", lambda *args: _fraction_pairs(factor_pairs(*args)))
+    exact, traces = hierarchy._fold(exact_plan, scheme, slice(None), True)
+    monkeypatch.undo()
+    batch = evaluate_batch(model, scheme)
+    bounds = [0.0] * len(plan.paths)
+    for i, kids in enumerate(plan.children):
+        if not kids:
+            continue
+        assigned, unassigned = exact[i]
+        assert all(type(x) is Fraction for x in (*assigned.flat, *unassigned)), plan.paths[i]
+        # A child's error enters each of the sums over grades.
+        inherited = grades * sum(bounds[j] for j in kids)
+        bounds[i] = _rounding_bound(traces[plan.paths[i]].steps, len(kids), grades, inherited)
+        error = np.abs(_exactly(batch.assigned[i].T) - assigned).max(axis=0)
+        error = np.maximum(error, np.abs(_exactly(batch.unassigned[i]) - unassigned))
+        assert (error <= bounds[i]).all(), plan.paths[i]
+
+
+_SLIVER = st.floats(1, 12).map(lambda e: 10.0**-e)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    grades=st.integers(2, 4),
+    scheme=st.sampled_from(["oer", "e2r"]),
+    items=st.lists(st.tuples(st.integers(0, 3), _SLIVER, _SLIVER, _SLIVER), min_size=2, max_size=6),
+)
+def test_the_float_kernel_keeps_the_rounding_bound_near_total_conflict(grades, scheme, items):
+    """Each item puts all but a sliver of its mass on one grade, at factors within a sliver
+    of 1 (not mer: importances summing to one keep mass off the conflict);
+    hypothesis.target steers the search toward the largest error against the bound."""
+    blocks = np.zeros((len(items), grades))
+    factors = []
+    for i, (grade, slack, unreliable, unimportant) in enumerate(items):
+        blocks[i, grade % grades] = 1 - slack
+        blocks[i, (grade + 1) % grades] = slack / 2
+        factors.append(_factors(scheme, None, 1 - unreliable, 1 - unimportant))
+    try:
+        assigned, unassigned, _ = _aggregate(blocks, factors)
+        exact_assigned, exact_unassigned, steps = _aggregate(_exactly(blocks), _fraction_pairs(factors), True)
+    except (CompleteConflictError, DegenerateMassError):
+        reject()
+    error = np.abs(_exactly([*assigned, unassigned]) - [*exact_assigned, exact_unassigned]).max()
+    bound = float(_rounding_bound(steps, len(items), grades))
+    target(float(error) / bound if bound < math.inf else 0.0)
+    assert error <= bound
+
+
 def test_a_traced_report_folds_once_per_scheme(monkeypatch, capsys, tmp_path):
     from erkit import hierarchy
 
@@ -390,7 +492,10 @@ def test_batch_conflict_error_names_the_first_failing_alternative():
 
 def _shift_half(assigned, unassigned):
     """Half a unit from the first grade to the second: the total holds, a degree goes negative."""
-    return [assigned[0] - 0.5, assigned[1] + 0.5, *assigned[2:]], unassigned
+    shifted = assigned.copy()
+    shifted[0] -= 0.5
+    shifted[1] += 0.5
+    return shifted, unassigned
 
 
 @pytest.mark.parametrize(
@@ -406,12 +511,12 @@ def test_batch_keeps_the_combined_assessment_checks(monkeypatch, corrupt):
 
     kernel = hierarchy._aggregate
 
-    def corrupt_third_alternative(degrees, factors, with_trace=False):
+    def corrupt_third_alternative(blocks, factors, with_trace=False):
         """Corrupt the third column of the batch, and the one column of a single alternative."""
-        assigned, unassigned, steps = kernel(degrees, factors, with_trace)
+        assigned, unassigned, steps = kernel(blocks, factors, with_trace)
         bad_assigned, bad_unassigned = corrupt(assigned, unassigned)
         mask = np.arange(len(unassigned)) == (2 if len(unassigned) > 1 else 0)
-        assigned = [np.where(mask, b, a) for a, b in zip(assigned, bad_assigned)]
+        assigned = np.where(mask, bad_assigned, assigned)
         unassigned = np.where(mask, bad_unassigned, unassigned)
         return assigned, unassigned, steps
 

@@ -540,6 +540,28 @@ class TestResultDocumentInvariants:
                 r"trace of '.*' for 'Kawasaki': trace mass must be a number, got True",
                 id="trace-boolean-mass",
             ),
+            pytest.param(
+                lambda d: dict(traces={1: _root_trace(d, dict)["Kawasaki"]}),
+                "traces for 1 must name the alternative and its paths by strings",
+                id="trace-alternative-key",
+            ),
+            pytest.param(
+                lambda d: dict(traces={"Kawasaki": {1: _root_trace(d, dict)["Kawasaki"][d.paths[-1]]}}),
+                "traces for 'Kawasaki' must name the alternative and its paths by strings",
+                id="trace-path-key",
+            ),
+            pytest.param(
+                lambda d: dict(traces=_root_trace(d, MappingProxyType)),
+                r"trace of '.*' for 'Kawasaki': a step must have the keys .* in a dict",
+                id="trace-step-proxy",
+            ),
+            pytest.param(
+                lambda d: dict(
+                    traces=_root_trace(d, lambda step: {**step, "singletons": MappingProxyType(step["singletons"])})
+                ),
+                r"trace of '.*' for 'Kawasaki': singletons must give one mass per grade in a dict",
+                id="trace-singletons-proxy",
+            ),
         ],
     )
     def test_each_invariant_is_checked_when_built(self, changes, message):
