@@ -30,7 +30,8 @@ step is elementwise over the alternatives and sums over grades run left to
 right instead of through ``math.fsum``, so a batch gives bit for bit what
 its alternatives give one at a time, at the cost of rounding in the last
 bit or two against an exactly rounded sum (≤1e-15 on the motorcycle
-benchmark).  The conflict and Omega checks raise if any alternative fails.
+benchmark).  The conflict, Omega and distribution checks raise if any
+alternative fails: every fold's result is a belief distribution or raises.
 The discount-and-combine pipelines of :mod:`erkit.dst` stay apart from the
 kernel as independent oracles in the test suite: the two share only
 :mod:`erkit.frame`, and this module never imports :mod:`erkit.dst`.
@@ -130,13 +131,8 @@ class CombinedAssessment:
     def __post_init__(self):
         if len(self.assigned) != self.frame.size:
             raise ValueError("one combined degree per grade is required")
-        for d in (*self.assigned, self.unassigned):
-            # tolerance absorbs float round-off at the [0, 1] boundaries
-            if not -DEGREE_SUM_TOL <= d <= 1.0 + DEGREE_SUM_TOL:
-                raise ValueError(f"combined degree {d!r} outside [0, 1]")
-        total = math.fsum((*self.assigned, self.unassigned))
-        if abs(total - 1.0) > DEGREE_SUM_TOL:
-            raise ValueError(f"combined degrees sum to {total!r}, expected 1")
+        if _off_simplex(np.array(self.assigned), self.unassigned):
+            raise ValueError(f"combined degrees outside [0, 1] or not summing to 1: {self!r}")
 
     @property
     def assigned_degrees(self) -> dict[str, float]:
@@ -200,19 +196,21 @@ def _common_frame(items: Sequence[WeightedAssessment]) -> GradeFrame:
 
 
 def _raise_where(flags, error, message):
-    """Raise ``error`` if any alternative is flagged.
-
-    ``flags`` is a bool, numpy's too, for one alternative (no ``np.any`` per
-    flat step) and a boolean array for a batch, which rides along on the
-    exception as ``flagged`` so the caller can name the alternatives that failed.
-    """
-    if isinstance(flags, (bool, np.bool_)):
-        if flags:
-            raise error(message)
-    elif flags.any():
+    """Raise ``error`` if any alternative is flagged; ``flags`` (one for a flat fold, an array
+    for a batch) rides along as ``flagged`` so the caller can name the ones that failed."""
+    if np.count_nonzero(flags):
         exc = error(message)
         exc.flagged = flags
         raise exc
+
+
+def _off_simplex(assigned, unassigned):
+    """Per alternative, whether degrees (grades on the first axis) and the unassigned
+    degree fail to form a belief distribution: each in [0, 1] and their total 1, within
+    ``DEGREE_SUM_TOL``.  NaN fails; the total is a left fold, as the kernel sums."""
+    lo, hi = -DEGREE_SUM_TOL, 1 + DEGREE_SUM_TOL
+    inside = ((lo <= assigned) & (assigned <= hi)).all(axis=0) & (lo <= unassigned) & (unassigned <= hi)
+    return ~(inside & (abs(reduce(add, assigned) + unassigned - 1) <= DEGREE_SUM_TOL))
 
 
 def _aggregate(blocks, factors, with_trace=False):
@@ -224,7 +222,8 @@ def _aggregate(blocks, factors, with_trace=False):
     β·α·d on the grades, β·max(0, 1 − Σα·d) on the frame, 1 − β on Omega.
     The constants are ints and halvings, so object arrays of
     :class:`fractions.Fraction` fold exactly.  Returns the assigned block,
-    the unassigned array and the trace steps (``None`` unless ``with_trace``).
+    the unassigned array and the trace steps (``None`` unless ``with_trace``),
+    or raises ``DegenerateMassError`` where :func:`_off_simplex` flags it.
     """
     # (x + |x|) / 2 is max(0, x) exactly, elementwise on arrays.
     steps = [] if with_trace else None
@@ -241,9 +240,7 @@ def _aggregate(blocks, factors, with_trace=False):
             agree = reduce(add, sing * sing2)
             denom = 1 - (reduce(add, sing) * reduce(add, sing2) - agree)
             _raise_where(
-                denom <= CONFLICT_TOL,
-                CompleteConflictError,
-                "aggregation met totally conflicting assessments",
+                denom <= CONFLICT_TOL, CompleteConflictError, "aggregation met totally conflicting assessments"
             )
             k = 1 / denom
             vague1 = mh + mo
@@ -256,12 +253,13 @@ def _aggregate(blocks, factors, with_trace=False):
         if with_trace:
             steps.append(TraceStep(tuple(sing), mh, mo, k))
     _raise_where(
-        mo >= 1.0 - CONFLICT_TOL,
-        DegenerateMassError,
-        "all combined mass sits on Omega; nothing to normalize",
+        mo >= 1.0 - CONFLICT_TOL, DegenerateMassError, "all combined mass sits on Omega; nothing to normalize"
     )
     scale = 1 / (1 - mo)
-    return scale * sing, scale * mh, steps
+    assigned, unassigned = scale * sing, scale * mh
+    off = _off_simplex(assigned, unassigned)
+    _raise_where(off, DegenerateMassError, "combined degrees outside [0, 1] or not summing to 1")
+    return assigned, unassigned, steps
 
 
 def _check_weight_sum(weights: Sequence[float]) -> None:

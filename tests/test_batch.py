@@ -10,7 +10,7 @@ from operator import mul
 
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings, target
+from hypothesis import example, given, reject, settings, target
 from hypothesis import strategies as st
 
 from erkit import (
@@ -39,7 +39,7 @@ from erkit import (
     save_results,
     validate,
 )
-from erkit.algorithms import _aggregate, _factor_pairs, _factors
+from erkit.algorithms import _aggregate, _factor_pairs, _factors, _off_simplex
 from erkit.cli import EXIT_RUNTIME, _run_algorithms, main
 from erkit.modelio import trace_to_json
 
@@ -314,16 +314,33 @@ def test_the_kernel_folds_fractions_exactly_and_floats_within_the_rounding_bound
 _SLIVER = st.floats(1, 12).map(lambda e: 10.0**-e)
 
 
+#: The six leaves of tests/data/near_conflict.json as (grade, slack, unreliability); the float
+#: fold takes their oer result off the simplex.
+NEAR_CONFLICT = [
+    (0, 8.179032833604834e-06, 0.00030463250132638356),
+    (1, 2.1317353850382293e-10, 1.9314579001762168e-09),
+    (0, 3.6762119473884336e-05, 2.6609044417017106e-12),
+    (0, 1.943529174978334e-06, 0.004896463092263604),
+    (1, 5.562348584632322e-08, 6.482772174174005e-10),
+    (1, 3.73968177191161e-10, 6.151957466351258e-12),
+]
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     grades=st.integers(2, 4),
     scheme=st.sampled_from(["oer", "e2r"]),
     items=st.lists(st.tuples(st.integers(0, 3), _SLIVER, _SLIVER, _SLIVER), min_size=2, max_size=6),
 )
+@example(grades=2, scheme="oer", items=[(*leaf, 0.1) for leaf in NEAR_CONFLICT])
 def test_the_float_kernel_keeps_the_rounding_bound_near_total_conflict(grades, scheme, items):
     """Each item puts all but a sliver of its mass on one grade, at factors within a sliver
     of 1 (not mer: importances summing to one keep mass off the conflict);
-    hypothesis.target steers the search toward the largest error against the bound."""
+    hypothesis.target steers the search toward the largest error against the bound.  The
+    float fold runs with the distribution check off, so a result that rounding took off the
+    simplex is held to the bound too; the real kernel raises exactly for such a result."""
+    from erkit import algorithms
+
     blocks = np.zeros((len(items), grades))
     factors = []
     for i, (grade, slack, unreliable, unimportant) in enumerate(items):
@@ -331,7 +348,9 @@ def test_the_float_kernel_keeps_the_rounding_bound_near_total_conflict(grades, s
         blocks[i, (grade + 1) % grades] = slack / 2
         factors.append(_factors(scheme, None, 1 - unreliable, 1 - unimportant))
     try:
-        assigned, unassigned, _ = _aggregate(blocks, factors)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(algorithms, "_off_simplex", lambda assigned, unassigned: False)
+            assigned, unassigned, _ = _aggregate(blocks, factors)
         exact_assigned, exact_unassigned, steps = _aggregate(_exactly(blocks), _fraction_pairs(factors), True)
     except (CompleteConflictError, DegenerateMassError):
         reject()
@@ -339,6 +358,11 @@ def test_the_float_kernel_keeps_the_rounding_bound_near_total_conflict(grades, s
     bound = float(_rounding_bound(steps, len(items), grades))
     target(float(error) / bound if bound < math.inf else 0.0)
     assert error <= bound
+    if _off_simplex(assigned, unassigned):
+        with pytest.raises(DegenerateMassError, match="not summing to 1"):
+            _aggregate(blocks, factors)
+    else:
+        _aggregate(blocks, factors)
 
 
 def test_a_traced_report_folds_once_per_scheme(monkeypatch, capsys, tmp_path):
@@ -490,42 +514,55 @@ def test_batch_conflict_error_names_the_first_failing_alternative():
     evaluate_batch(model, "mer")  # importance discounting keeps mass off the conflict
 
 
-def _shift_half(assigned, unassigned):
-    """Half a unit from the first grade to the second: the total holds, a degree goes negative."""
-    shifted = assigned.copy()
-    shifted[0] -= 0.5
-    shifted[1] += 0.5
-    return shifted, unassigned
+def _shift_two(block):
+    """Two units from the first grade to the second: the item's total holds, a degree goes negative."""
+    shifted = block.copy()
+    shifted[0] -= 2
+    shifted[1] += 2
+    return shifted
+
+
+def _corrupting(kernel, corrupt):
+    """``kernel`` with ``corrupt`` applied to the first item's block before it folds: to the
+    third column of a batch or a group, to the one column of a single alternative or a flat call."""
+
+    def corrupted(blocks, factors, with_trace=False):
+        first = blocks[0]
+        mask = True if first.ndim == 1 else np.arange(first.shape[1]) == (2 if first.shape[1] > 1 else 0)
+        return kernel([np.where(mask, corrupt(first), first), *blocks[1:]], factors, with_trace)
+
+    return corrupted
 
 
 @pytest.mark.parametrize(
     "corrupt",
     [
-        pytest.param(_shift_half, id="negative-degree"),
-        pytest.param(lambda a, u: (a, u * 0.0 + 0.9), id="total-off"),
-        pytest.param(lambda a, u: (a, u * float("nan")), id="nan"),
+        pytest.param(_shift_two, id="negative-degree"),
+        pytest.param(np.ones_like, id="total-off"),  # every degree 1: they sum to the grade count
+        pytest.param(lambda block: block * float("nan"), id="nan"),
     ],
 )
 def test_batch_keeps_the_combined_assessment_checks(monkeypatch, corrupt):
-    from erkit import hierarchy
+    """A fault in the kernel's inputs reaches its result, and every fold refuses that result
+    with ``DegenerateMassError``: the batch and ``evaluate`` naming the node and alternative,
+    a flat aggregator, and an audit group, flagging the corrupted instance alone."""
+    from erkit import algorithms, axioms, hierarchy
 
-    kernel = hierarchy._aggregate
-
-    def corrupt_third_alternative(blocks, factors, with_trace=False):
-        """Corrupt the third column of the batch, and the one column of a single alternative."""
-        assigned, unassigned, steps = kernel(blocks, factors, with_trace)
-        bad_assigned, bad_unassigned = corrupt(assigned, unassigned)
-        mask = np.arange(len(unassigned)) == (2 if len(unassigned) > 1 else 0)
-        assigned = np.where(mask, bad_assigned, assigned)
-        unassigned = np.where(mask, bad_unassigned, unassigned)
-        return assigned, unassigned, steps
-
-    monkeypatch.setattr(hierarchy, "_aggregate", corrupt_third_alternative)
+    for module in (algorithms, axioms, hierarchy):
+        monkeypatch.setattr(module, "_aggregate", _corrupting(_aggregate, corrupt))
     model = derive_reliabilities(motorcycle_model())
-    with pytest.raises(ValueError, match="alternative 'Honda'"):
+    message = "at node 'motorcycle performance/.*' for alternative 'Honda': combined degrees outside"
+    with pytest.raises(DegenerateMassError, match=message):
         evaluate_batch(model, "e2r")
-    with pytest.raises(ValueError, match="combined degree"):
+    with pytest.raises(DegenerateMassError, match=message):
         evaluate(model, "e2r", "Honda")
+    items = random_items(np.random.default_rng(3), 4, 5, normalized_weights=True)
+    with pytest.raises(DegenerateMassError, match=r"^combined degrees outside \[0, 1\] or not summing to 1$"):
+        aggregate("e2r", items)
+    degrees, factors = axioms._draw("incompleteness", np.random.default_rng(7), 5, 3, 4, True)
+    with pytest.raises(DegenerateMassError) as refused:
+        axioms._verdicts("incompleteness", "e2r", degrees, factors)
+    assert np.flatnonzero(refused.value.flagged).tolist() == [2]
 
 
 def chain_model(levels):

@@ -1,13 +1,25 @@
 """Tests for the command-line interface: exit codes, formats, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import erkit.hierarchy
 import erkit.modelio
-from erkit import cli, errors, motorcycle_json
+from erkit import (
+    WeightedAssessment,
+    cli,
+    errors,
+    evaluate,
+    evaluate_batch,
+    load_model,
+    motorcycle_json,
+    oer_aggregate,
+)
 from erkit.cli import EXIT_IO, EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, _run_algorithms, main
 
 
@@ -480,3 +492,53 @@ class TestExitCodeMapping:
         code, out, err = run(capsys, "evaluate", model_file)
         assert (code, out) == (expected, "")
         assert err == f"error: {error}\n"
+
+
+NEAR_CONFLICT = Path(__file__).parent / "data" / "near_conflict.json"
+
+
+class TestNearTotalConflict:
+    """A valid model: six leaves, each all but a sliver on one of two grades, at reliabilities
+    within a sliver of 1.  Rounding that the near-total conflict amplifies takes the float oer
+    result off the simplex (``good`` = 1.00000016), and every fold refuses it; mer and e2r
+    discount by importance and stay accurate."""
+
+    ERROR = "error: at node 'root' for alternative 'a': combined degrees outside [0, 1] or not summing to 1\n"
+
+    def test_oer_exits_2_with_one_error_line(self, capsys):
+        assert run(capsys, "evaluate", "--algo", "oer", str(NEAR_CONFLICT)) == (EXIT_RUNTIME, "", self.ERROR)
+
+    def test_oer_exits_2_from_the_command_line(self, tmp_path):
+        src = str(Path(cli.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "erkit.cli", "evaluate", "--algo", "oer", str(NEAR_CONFLICT)],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (EXIT_RUNTIME, "", self.ERROR)
+
+    @pytest.mark.parametrize(
+        "algorithm, root",
+        [
+            ("mer", {"assigned": {"bad": 0.4999905146826458, "good": 0.500006261362862},
+                     "unassigned": 3.2239544930148993e-06}),
+            ("e2r", {"assigned": {"bad": 0.49901647803184773, "good": 0.5002661935623327},
+                     "unassigned": 0.000717328405819535}),
+        ],
+    )
+    def test_mer_and_e2r_report_the_root_unchanged(self, capsys, algorithm, root):
+        code, out, err = run(capsys, "evaluate", "--algo", algorithm, "--format", "json", str(NEAR_CONFLICT))
+        assert (code, err) == (EXIT_OK, "")
+        assert json.loads(out)["documents"][0]["results"]["a"]["nodes"]["root"] == root
+
+    def test_every_fold_raises_degenerate_mass_error(self):
+        model = load_model(NEAR_CONFLICT.read_text(encoding="utf-8"))
+        message = r"combined degrees outside \[0, 1\] or not summing to 1$"
+        at_root = "^at node 'root' for alternative 'a': " + message
+        with pytest.raises(errors.DegenerateMassError, match=at_root):
+            evaluate(model, "oer", "a")
+        with pytest.raises(errors.DegenerateMassError, match=at_root):
+            evaluate_batch(model, "oer")
+        items = [WeightedAssessment(c.assessments["a"], reliability=c.reliability) for c in model.root.children]
+        with pytest.raises(errors.DegenerateMassError, match="^" + message):
+            oer_aggregate(items)

@@ -11,6 +11,7 @@ import pytest
 import erkit.hierarchy
 from erkit import (
     Assessment,
+    AssessmentTable,
     AttributeNode,
     CompleteConflictError,
     ErkitError,
@@ -208,6 +209,31 @@ class TestValidate:
         )
         model = EvaluationModel(H5, ("alt",), root)
         assert any("duplicate names" in p.message for p in validate(model))
+
+    def test_leaf_rows_that_are_not_distributions_are_named_by_leaf_and_alternative(self):
+        """All leaves' rows are checked in one pass; each bad row is named by its own leaf and
+        alternative, whatever the order of a table's rows, and a leaf over another frame is
+        reported for its frame alone."""
+        complete = [0.2, 0.3, 0.5, 0.0, 0.0]
+
+        def table(names, bad_row, bad_degrees):
+            degrees = np.array([bad_degrees if i == bad_row else complete for i in range(3)])
+            return AssessmentTable(H5, names, degrees, np.zeros(3))
+
+        other_frame = Assessment.from_degrees(frame_of(3), {"g0": 1.0})
+        root = AttributeNode("root", children=(
+            leaf("x", 0.5, 0.25, table(("a", "b", "c"), None, None)),
+            leaf("w", 0.5, 0.25, {alt: other_frame for alt in ("a", "b", "c")}),
+            leaf("y", 0.5, 0.25, table(("c", "b", "a"), 1, [0.6, 0.6, 0.0, 0.0, 0.0])),
+            leaf("z", 0.5, 0.25, table(("a", "b", "c"), 2, [0.2, float("nan"), 0.8, 0.0, 0.0])),
+        ))
+        model = EvaluationModel(H5, ("a", "b", "c"), root)
+        fault = "degrees outside [0, 1] or not summing to 1"
+        assert [str(d) for d in validate(model)] == [
+            *(f"root/w: assessment for {alt!r} uses a different frame" for alt in ("a", "b", "c")),
+            f"root/y: assessment for 'b': {fault}",
+            f"root/z: assessment for 'c': {fault}",
+        ]
 
 
 class TestEvaluate:
@@ -408,6 +434,34 @@ class TestRuntimeGuards:
         model = self.model(AttributeNode("b", reliability=1.5, importance=-0.5, weight=1.5,
                                          assessments={"alt": b}))
         self.run(kind, model, algorithm, r"root/b: reliability 1\.5 outside \[0, 1\]")
+
+    @staticmethod
+    def table(degrees, unassigned):
+        """A hand-built table of ``alt``: its arrays as given, which nothing checks on the way in."""
+        return AssessmentTable(H5, ("alt",), np.array([degrees], dtype=float), np.array([unassigned]))
+
+    NOT_A_DISTRIBUTION = r"assessment for 'alt': degrees outside \[0, 1\] or not summing to 1"
+
+    @pytest.mark.parametrize("kind", ["single", "batch"])
+    @pytest.mark.parametrize(
+        "degrees, unassigned",
+        [
+            pytest.param((0.2, float("nan"), 0.3, 0.0, 0.0), 0.5, id="nan-degree"),
+            pytest.param((0.6, 0.6, 0.0, 0.0, 0.0), 0.0, id="row-over-1"),
+            pytest.param((0.5, 0.3, 0.0, 0.0, 0.0), 0.0, id="unassigned-short"),
+        ],
+    )
+    def test_a_leaf_row_that_is_not_a_distribution(self, kind, degrees, unassigned):
+        """No fold checks a leaf's rows, so ``validate`` does."""
+        model = self.model(leaf("b", 0.6, 0.5, self.table(degrees, unassigned)))
+        self.run(kind, model, "e2r", "root/b: " + self.NOT_A_DISTRIBUTION)
+
+    @pytest.mark.parametrize("kind", ["single", "batch"])
+    def test_a_root_leaf_row_that_is_not_a_distribution(self, kind):
+        """A root that is a leaf is never folded at all."""
+        root = leaf("root", 0.6, None, self.table((0.5, 0.3, 0, 0, 0), 0.0))
+        model = EvaluationModel(H5, ("alt",), root)
+        self.run(kind, model, "e2r", f"^model validation failed: root: {self.NOT_A_DISTRIBUTION}$")
 
 
 class TestOneGate:
