@@ -99,15 +99,21 @@ class AssessmentTable(Mapping[str, Assessment]):
 
     ``names`` lists the alternatives in the order they were given and
     ``rows`` maps each to its row of ``degrees`` (alternatives × grades) and
-    of ``unassigned``; the table holds the two arrays as given, and they are
-    made read-only.  An ``Assessment`` is built only when one is looked up.
-    ``frame`` is ``None`` for an empty table.  Equality compares the arrays,
-    whatever the order of the alternatives.
+    of ``unassigned``; the table holds the two arrays as given, one row per
+    name, and they are made read-only.  An ``Assessment`` is built only when
+    one is looked up.  ``frame`` is ``None`` for an empty table.  Equality
+    compares the arrays, whatever the order of the alternatives.
     """
 
     def __init__(
         self, frame: GradeFrame | None, names: tuple[str, ...], degrees: np.ndarray, unassigned: np.ndarray
     ):
+        shape = (len(names), 0 if frame is None else frame.size)
+        if degrees.shape != shape or unassigned.shape != shape[:1]:
+            raise ValueError(
+                f"a table of {len(names)} names needs {shape} degrees and {shape[:1]} "
+                f"unassigned degrees, got {degrees.shape} and {unassigned.shape}"
+            )
         degrees.setflags(write=False)
         unassigned.setflags(write=False)
         self.frame = frame
@@ -342,6 +348,9 @@ def validate(model: EvaluationModel) -> list[Diagnostic]:
                 problems.append(Diagnostic(path, "basic attribute lacks a reliability"))
             table = node.assessments
             if table.names != model.alternatives:
+                if len(table.rows) != len(table.names):
+                    repeated = [a for a, count in Counter(table.names).items() if count > 1]
+                    problems.append(Diagnostic(path, f"repeated assessments for {repeated}"))
                 missing = [a for a in model.alternatives if a not in table.rows]
                 if missing:
                     problems.append(Diagnostic(path, f"missing assessments for {missing}"))

@@ -30,15 +30,16 @@ traces included, so any document that can be built, with finite node
 numbers, can be saved and loaded back; the loader only turns JSON into
 its fields.  Documents compare by value.
 
-The JSON report is written straight from the arrays by one ``%`` template
-per document, so the per-node dicts are never built and the
-pure-Python indenting encoder never walks them.  Its output is byte for
-byte what ``json.dumps(payload, indent=2, allow_nan=False)`` gives for
-the nested-dict payload (keys escaped as ``ensure_ascii`` escapes them,
-floats through ``float.__repr__``, non-finite values rejected), so the
-file format is unchanged; the test suite holds it to that.  The shortest
-round-trip float representation means loading a saved document
-reproduces the numbers bit for bit.
+The JSON report is compact: byte for byte what ``json.dumps(payload,
+separators=(",", ":"), allow_nan=False)`` gives for the nested-dict
+payload (keys escaped as ``ensure_ascii`` escapes them, floats through
+``float.__repr__``, non-finite values rejected); the test suite holds it
+to that.  The per-alternative results are written straight from the
+arrays by one ``%`` template per document, so the per-node dicts are
+never built; the other fields go through the stdlib's C encoder.  Reports
+laid out with indentation load the same, as JSON whitespace carries
+nothing.  The shortest round-trip float representation means loading a
+saved document reproduces the numbers bit for bit.
 """
 
 from __future__ import annotations
@@ -489,18 +490,7 @@ def result_from_evaluation(
     )
 
 
-def _dumps(value, indent: int) -> str:
-    """``json.dumps(value, indent=2)`` nested ``indent`` spaces deep.
-
-    A JSON string never holds a raw newline, so every ``"\\n"`` replaced is a
-    line break of the layout.
-    """
-    return json.dumps(value, indent=2, allow_nan=False).replace("\n", "\n" + " " * indent)
-
-
-def _block(members: Sequence[str], indent: int) -> str:
-    """A non-empty indent-2 JSON object of rendered members, closed ``indent`` spaces deep."""
-    return "{\n" + ",\n".join(members) + "\n" + " " * indent + "}"
+_encode = json.JSONEncoder(separators=(",", ":"), allow_nan=False).encode  # the C encoder
 
 
 def _template_key(key: str) -> str:
@@ -511,20 +501,14 @@ def _template_key(key: str) -> str:
 def _entry_template(doc: ResultDocument) -> str:
     """One alternative's entry after its key: ``%r`` per degree, node after node,
     then per redistributed degree, then for the utility."""
-    assigned = _block([" " * 16 + _template_key(g) + ": %r" for g in doc.frame], 14)
-    record = ': {\n' + " " * 14 + '"assigned": ' + assigned + ",\n"
-    record += " " * 14 + '"unassigned": %r\n' + " " * 12 + "}"
-    nodes = _block([" " * 12 + _template_key(path) + record for path in doc.paths], 10)
-    redistributed = _block([" " * 12 + _template_key(g) + ": %r" for g in doc.frame], 10)
-    return (
-        ': {\n          "nodes": ' + nodes + ',\n          "redistributed": ' + redistributed
-        + ',\n          "utility": %r\n        }'
-    )
+    grades = "{" + ",".join(_template_key(g) + ":%r" for g in doc.frame) + "}"
+    node = ':{"assigned":' + grades + ',"unassigned":%r}'
+    nodes = "{" + ",".join(_template_key(path) + node for path in doc.paths) + "}"
+    return ':{"nodes":' + nodes + ',"redistributed":' + grades + ',"utility":%r}'
 
 
 def _write_document(doc: ResultDocument, out: list[str]) -> None:
-    """Append one result document to ``out`` as ``json.dumps(indent=2)`` lays
-    it out in the report's ``documents`` list."""
+    """Append one result document to ``out`` as compact JSON."""
     # One flat row of floats per alternative, in the order of the template's %r.
     nodes = np.concatenate([doc.assigned, doc.unassigned[:, :, None]], axis=2).transpose(1, 0, 2)
     utilities = [[doc.utilities[alt]] for alt in doc.alternatives]
@@ -534,31 +518,31 @@ def _write_document(doc: ResultDocument, out: list[str]) -> None:
         raise ValueError(f"Out of range float values are not JSON compliant: {bad!r}")
     entry = _entry_template(doc)
     out.append(
-        '{\n      "algorithm": ' + _dumps(doc.algorithm, 6)
-        + ',\n      "frame": ' + _dumps(list(doc.frame), 6)
-        + ',\n      "alternatives": ' + _dumps(list(doc.alternatives), 6)
-        + ',\n      "results": {'
+        '{"algorithm":' + _encode(doc.algorithm) + ',"frame":' + _encode(doc.frame)
+        + ',"alternatives":' + _encode(doc.alternatives) + ',"results":{'
     )
-    for i, (alt, row) in enumerate(zip(doc.alternatives, values.tolist())):
-        out.append((",\n" if i else "\n") + " " * 8 + _escape(alt) + entry % tuple(row))
-    out.append('\n      },\n      "ranking": ' + _dumps(list(doc.ranking), 6))
+    rows = zip(doc.alternatives, values.tolist())
+    out.append(",".join(_escape(alt) + entry % tuple(row) for alt, row in rows))
+    out.append('},"ranking":' + _encode(doc.ranking))
     if doc.traces is not None:
-        out.append(',\n      "traces": ' + _dumps(doc.traces, 6))
-    out.append("\n    }")
+        out.append(',"traces":' + _encode(doc.traces))
+    out.append("}")
 
 
 def _write_json(documents: Sequence[ResultDocument]) -> str:
-    """The indent-2 JSON report: byte for byte what ``json.dumps`` gives for
-    the nested-dict payload, rendered from the documents' arrays.
+    """The JSON report: byte for byte what ``json.dumps(payload, separators=(",", ":"),
+    allow_nan=False)`` gives for the nested-dict payload, rendered from the
+    documents' arrays.
 
     Pieces are collected in one flat list and joined once, so the report is
     copied once, not once per nesting level.
     """
-    out = ['{\n  "schema": ' + _dumps(RESULT_SCHEMA, 2) + ',\n  "documents": [']
+    out = ['{"schema":' + _encode(RESULT_SCHEMA) + ',"documents":[']
     for i, doc in enumerate(documents):
-        out.append((",\n" if i else "\n") + "    ")
+        if i:
+            out.append(",")
         _write_document(doc, out)
-    out.append("\n  ]\n}" if documents else "]\n}")
+    out.append("]}")
     return "".join(out)
 
 

@@ -662,7 +662,7 @@ def reference_report(model, documents):
         if doc.traces is not None:
             out["traces"] = doc.traces
         payload.append(out)
-    return json.dumps({"schema": "er-result/1", "documents": payload}, indent=2, allow_nan=False)
+    return json.dumps({"schema": "er-result/1", "documents": payload}, separators=(",", ":"), allow_nan=False)
 
 
 @settings(max_examples=25, deadline=None)

@@ -17,6 +17,7 @@ from erkit import (
     evaluate,
     evaluate_batch,
     load_model,
+    load_results,
     motorcycle_json,
     oer_aggregate,
 )
@@ -341,6 +342,19 @@ def test_motorcycle_reports_match_the_golden_files(capsys, model_file, argv, gol
     code, out, err = run(capsys, *argv, model_file)
     assert (code, err) == (EXIT_OK, "")
     assert out == (GOLDEN / golden).read_text(encoding="utf-8")
+
+
+def test_reports_written_indented_still_load(capsys, model_file):
+    """Reports were once written as ``json.dumps(indent=2)`` lays them out. Only the whitespace
+    changed, so such a report loads to the documents of the compact one."""
+    code, out, err = run(capsys, "evaluate", "--algo", "all", "--trace", "--format", "json", model_file)
+    assert (code, err) == (EXIT_OK, "")
+    payload = json.loads(out)
+    assert out == json.dumps(payload, separators=(",", ":")) + "\n"
+    indented = json.dumps(payload, indent=2)
+    documents = load_results(out)
+    assert len(documents) == 3 and all(d.traces is not None for d in documents)
+    assert load_results(indented) == documents
 
 
 def _slash_document():

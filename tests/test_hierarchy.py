@@ -235,6 +235,40 @@ class TestValidate:
             f"root/z: assessment for 'c': {fault}",
         ]
 
+    COMPLETE = (0.2, 0.3, 0.5, 0.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "degrees, unassigned",
+        [
+            # Such tables once validated clean, and evaluate_batch then died on numpy's
+            # ragged-array error.
+            pytest.param(np.array([COMPLETE, COMPLETE]), np.zeros(2), id="extra-row"),
+            # Validate's one pass over all leaves' rows stepped by names, not rows, so this
+            # row's fault was blamed on the next leaf.
+            pytest.param(
+                np.array([COMPLETE, (0.6, 0.6, 0, 0, 0)]), np.zeros(2), id="extra-row-off-the-simplex"
+            ),
+            pytest.param(np.zeros((1, 5)), np.zeros(2), id="unassigned-long"),
+            pytest.param(np.zeros((1, 4)), np.zeros(1), id="grades-short"),
+            pytest.param(np.zeros(5), np.zeros(1), id="flat-degrees"),
+        ],
+    )
+    def test_a_table_is_checked_against_its_own_shape(self, degrees, unassigned):
+        with pytest.raises(ValueError, match=r"1 names needs \(1, 5\) degrees and \(1,\) unassigned"):
+            AssessmentTable(H5, ("a",), degrees, unassigned)
+
+    def test_a_table_naming_an_alternative_twice_is_refused(self):
+        """Its len() counts two names while a lookup finds one row, so the other row would be dropped."""
+        table = AssessmentTable(H5, ("a", "a"), np.array([self.COMPLETE, self.COMPLETE]), np.zeros(2))
+        root = AttributeNode("root", children=(
+            leaf("x", 0.5, 0.5, table),
+            leaf("y", 0.5, 0.5, {"a": Assessment(H5, self.COMPLETE)}),
+        ))
+        model = EvaluationModel(H5, ("a",), root)
+        assert [str(d) for d in validate(model)] == ["root/x: repeated assessments for ['a']"]
+        with pytest.raises(ModelValidationError, match=r"root/x: repeated assessments for \['a'\]"):
+            evaluate_batch(model, "e2r")
+
 
 class TestEvaluate:
     def test_flat_tree_equals_flat_aggregator(self):
