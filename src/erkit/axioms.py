@@ -25,13 +25,20 @@ The audit draws each (grades, items) size group of instances at once,
 folds it in one pass of the :mod:`erkit.algorithms` kernel and checks the
 conclusions on arrays; :func:`generate_axiom_instance` and
 :func:`check_axiom` are the same drawer and checker on one instance.
+
+Its randomness is the stdlib's seeded Mersenne Twister (``random.Random``),
+read in bulk as uniform doubles; every other draw (uniform ranges, small
+integers, exponentials, Dirichlet weights) is a numpy transform of those,
+so the module loads ``random`` and numpy but never ``numpy.random``.
 """
 
 from __future__ import annotations
 
+import operator
+import random
 from dataclasses import dataclass
 from functools import reduce
-from operator import add
+from math import prod
 from typing import Sequence
 
 import numpy as np
@@ -68,20 +75,55 @@ def _items(degrees: np.ndarray, factors: np.ndarray, j: int) -> list[WeightedAss
     ]
 
 
-def _proper_subset(rng: np.random.Generator, n_grades: int, count: int) -> np.ndarray:
+class _Uniforms:
+    """Uniform doubles in [0, 1) from ``random.Random(seed)``, drawn in bulk.
+
+    Each double is the top 53 bits of one little-endian 64-bit word of the
+    stream, times 2⁻⁵³.  ``random(shape)`` is the one method the drawers
+    read, so a ``numpy.random.Generator`` can stand in for it.
+    """
+
+    def __init__(self, seed: int):
+        seed = operator.index(seed)
+        if seed < 0:
+            # random.Random seeds with abs(seed): -s would replay the stream of s
+            raise ValueError(f"the seed must be a non-negative integer, got {seed}")
+        self._stream = random.Random(seed)
+
+    def random(self, shape: int | tuple[int, ...]) -> np.ndarray:
+        n = prod(shape) if isinstance(shape, tuple) else shape
+        words = np.frombuffer(self._stream.randbytes(8 * n), dtype="<u8")
+        return ((words >> 11) * 2.0**-53).reshape(shape)
+
+
+def _uniform(rng: _Uniforms, low: float, high: float, shape) -> np.ndarray:
+    return low + (high - low) * rng.random(shape)
+
+
+def _integers(rng: _Uniforms, low: int, high: int, shape) -> np.ndarray:
+    """Integers in [``low``, ``high``), each equally likely."""
+    return low + np.floor(rng.random(shape) * (high - low)).astype(np.int64)
+
+
+def _exponential(rng: _Uniforms, shape) -> np.ndarray:
+    """Standard exponentials: finite and non-negative, as −log(1 − u) with u < 1."""
+    return -np.log1p(-rng.random(shape))
+
+
+def _proper_subset(rng: _Uniforms, n_grades: int, count: int) -> np.ndarray:
     """Flags (grades × count) of a random subset of 1 to ``n_grades`` − 1 grades per instance."""
     rank = rng.random((n_grades, count)).argsort(axis=0).argsort(axis=0)
-    return rank < rng.integers(1, n_grades, size=count)
+    return rank < _integers(rng, 1, n_grades, count)
 
 
-def _spread(rng: np.random.Generator, support: np.ndarray) -> np.ndarray:
+def _spread(rng: _Uniforms, support: np.ndarray) -> np.ndarray:
     """Flat-Dirichlet degrees over each item's ``support``, summing to one over the grades axis."""
-    raw = rng.standard_exponential(support.shape) * support
+    raw = _exponential(rng, support.shape) * support
     return raw / raw.sum(axis=1, keepdims=True)
 
 
 def _draw(
-    axiom: str, rng: np.random.Generator, count: int, n_grades: int, n_items: int, normalized: bool
+    axiom: str, rng: _Uniforms, count: int, n_grades: int, n_items: int, normalized: bool
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw ``count`` instances of one size that satisfy ``axiom``'s hypothesis.
 
@@ -90,22 +132,24 @@ def _draw(
     """
     shape = (n_items, count)
     cube = (n_items, n_grades, count)
-    simplex = rng.dirichlet(np.full(n_items, 3.0), size=(2, count)).transpose(0, 2, 1)
-    uniform = rng.uniform(0.2, 1.0, size=(2, *shape))
+    # Dirichlet(3, …, 3) over the items: Gamma(3) is the sum of three exponentials
+    gamma = _exponential(rng, (3, 2, *shape)).sum(axis=0)
+    simplex = gamma / gamma.sum(axis=1, keepdims=True)
+    uniform = _uniform(rng, 0.2, 1.0, (2, *shape))
     factors = np.array([simplex[0] if normalized else uniform[0], uniform[1], simplex[1]])
 
     if axiom == "independence":
         allowed = np.broadcast_to(_proper_subset(rng, n_grades, count), cube)
-        degrees = _spread(rng, allowed) * rng.uniform(0.3, 0.9, size=(n_items, 1, count))
+        degrees = _spread(rng, allowed) * _uniform(rng, 0.3, 0.9, (n_items, 1, count))
     elif axiom == "consensus":
-        shared = rng.integers(n_grades, size=count)
+        shared = _integers(rng, 0, n_grades, count)
         degrees = np.broadcast_to(np.eye(n_grades)[:, shared], cube)
     elif axiom == "completeness":
         degrees = _spread(rng, np.broadcast_to(_proper_subset(rng, n_grades, count), cube))
     else:  # incompleteness: the first item is incomplete, each other one complete half the time
         complete = rng.random(shape) < 0.5
         complete[0] = False
-        scale = np.where(complete, 1.0, rng.uniform(0.3, 0.9, size=shape))
+        scale = np.where(complete, 1.0, _uniform(rng, 0.3, 0.9, shape))
         degrees = _spread(rng, np.ones(cube, dtype=bool)) * scale[:, None, :]
         if not normalized:
             # pin one complete item to full weight in half the instances: the only
@@ -136,7 +180,7 @@ def _conclusion(axiom: str, grades: Sequence[str], degrees, assigned, unassigned
         )
     if axiom == "completeness":
         support = (degrees > 0.0).any(axis=0)
-        inside = reduce(add, np.where(support, assigned, 0.0))  # a left fold, as in the kernel
+        inside = reduce(operator.add, np.where(support, assigned, 0.0))  # a left fold, as in the kernel
         return np.abs(inside - 1.0) <= AXIOM_TOL, lambda j: (
             f"combined degree on {tuple(g for g, s in zip(grades, support[:, j]) if s)} "
             f"is {float(inside[j])!r}"
@@ -195,6 +239,12 @@ def generate_axiom_instance(
 ) -> list[WeightedAssessment]:
     """Construct a random instance satisfying one axiom's hypothesis.
 
+    ``rng`` is read only through ``rng.random(shape)``, which must return
+    an array of that shape of uniform doubles in [0, 1): a
+    ``numpy.random.Generator`` serves, as does the stdlib-backed stream the
+    audit draws from.  ``n_grades`` must be at least 2 and ``n_items`` at
+    least 1.
+
     ``normalized_weights`` must be set for aggregators that require the
     weights to form a convex combination.  In the free-weight mode,
     incompleteness instances occasionally pin a complete assessment to
@@ -203,16 +253,20 @@ def generate_axiom_instance(
     """
     if axiom not in AXIOMS:
         raise ValueError(f"unknown axiom {axiom!r}; expected one of {AXIOMS}")
+    if n_grades < 2:
+        raise ValueError(f"n_grades must be at least 2, got {n_grades}")
+    if n_items < 1:
+        raise ValueError(f"n_items must be at least 1, got {n_items}")
     return _items(*_draw(axiom, rng, 1, n_grades, n_items, normalized_weights), 0)
 
 
-def _groups(axiom: str, rng: np.random.Generator, iterations: int, normalized: bool):
+def _groups(axiom: str, rng: _Uniforms, iterations: int, normalized: bool):
     """Draw the size of every instance, then the instances of each size group in size order.
 
     Yields each group's iteration indices, ascending, with its instances.
     """
-    grades = rng.integers(2, MAX_GRADES + 1, size=iterations)
-    items = rng.integers(2, MAX_ITEMS + 1, size=iterations)
+    grades = _integers(rng, 2, MAX_GRADES + 1, iterations)
+    items = _integers(rng, 2, MAX_ITEMS + 1, iterations)
     for n_grades, n_items in sorted(set(zip(grades.tolist(), items.tolist()))):
         index = np.flatnonzero((grades == n_grades) & (items == n_items))
         yield index, _draw(axiom, rng, len(index), n_grades, n_items, normalized)
@@ -258,15 +312,17 @@ def audit_axioms(
 ) -> dict[str, AxiomAuditEntry]:
     """Run the constructive axiom audit for one aggregation algorithm.
 
-    Deterministic for a fixed seed.  Returns one entry per axiom with
-    hold/violation counts and the first counterexample found (the failing
-    instance with the lowest iteration index), serialized for reporting.
+    Deterministic for a fixed seed, a non-negative integer that seeds the
+    stdlib's Mersenne Twister (a negative one raises ``ValueError``).
+    Returns one entry per axiom with hold/violation counts and the first
+    counterexample found (the failing instance with the lowest iteration
+    index), serialized for reporting.
     """
     if iterations < 1:
         raise ValueError("the audit needs at least one iteration")
     _scheme(algorithm)
     normalized = algorithm in ("mer", "e2r")
-    rng = np.random.default_rng(seed)
+    rng = _Uniforms(seed)
     report: dict[str, AxiomAuditEntry] = {}
     for axiom in AXIOMS:
         entry = AxiomAuditEntry(axiom, runs=iterations)

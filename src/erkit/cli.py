@@ -8,9 +8,10 @@ Each command imports only the modules it runs.  At import this module loads
 ``erkit`` and ``erkit.errors`` and no numpy, so ``--help``, ``--version``
 and usage errors load no library module; a library name (``_LIBRARY``) is
 imported from its module on first read.  ``check-axioms`` loads
-``erkit.axioms`` and what it needs (``algorithms``, ``frame``, numpy), and
-``evaluate`` and ``compare`` load ``modelio`` and what it needs, but not
-``axioms``; no command loads the oracle module ``erkit.dst``.  The commands read these names through the module, so a
+``erkit.axioms`` and what it needs (``algorithms``, ``frame``, numpy and
+the stdlib's ``random``), and ``evaluate`` and ``compare`` load
+``modelio`` and what it needs, but not ``axioms``; no command loads the
+oracle module ``erkit.dst`` or ``numpy.random``.  The commands read these names through the module, so a
 wrapper set on ``erkit.cli`` in place of one is what runs.
 
 Exit codes: 0 success, 1 validation failure, 2 runtime aggregation failure
@@ -18,7 +19,8 @@ Exit codes: 0 success, 1 validation failure, 2 runtime aggregation failure
 stdout, diagnostics to stderr, library warnings as one ``warning:`` line
 each; files are written only when ``--out`` is given.  ``evaluate`` and
 ``compare`` draw no random numbers; only ``check-axioms`` takes
-``--seed``, and with a fixed seed its report is byte-identical across runs.
+``--seed``, which seeds ``random.Random``, and with a fixed seed its
+report is byte-identical across runs.
 """
 
 from __future__ import annotations

@@ -1,5 +1,7 @@
 """Tests for the synthesis-axiom checker and the audit harness."""
 
+import random
+
 import numpy as np
 import pytest
 
@@ -119,6 +121,26 @@ class TestGenerators:
         with pytest.raises(ValueError):
             generate_axiom_instance("nope", np.random.default_rng(0))
 
+    @pytest.mark.parametrize("axiom", AXIOMS)
+    @pytest.mark.parametrize(
+        "size, name",
+        [
+            ({"n_grades": 1}, "n_grades"),
+            ({"n_grades": 0}, "n_grades"),
+            ({"n_items": 0}, "n_items"),
+            ({"n_items": -1}, "n_items"),
+        ],
+    )
+    def test_a_size_too_small_is_refused_by_name(self, axiom, size, name):
+        with pytest.raises(ValueError, match=f"^{name} must be at least"):
+            generate_axiom_instance(axiom, np.random.default_rng(0), **size)
+
+    @pytest.mark.parametrize("axiom", AXIOMS)
+    def test_the_smallest_sizes_give_an_instance(self, axiom):
+        items = generate_axiom_instance(axiom, axioms._Uniforms(0), n_grades=2, n_items=1)
+        assert len(items) == 1 and items[0].assessment.frame.size == 2
+        check_axiom(axiom, "oer", items)
+
 
 class TestAudit:
     def test_importance_scheme_passes_all_axioms(self):
@@ -148,6 +170,16 @@ class TestAudit:
     def test_iterations_must_be_positive(self):
         with pytest.raises(ValueError):
             audit_axioms("mer", iterations=0)
+
+    def test_a_negative_seed_is_refused(self):
+        # random.Random(-s) would replay the stream of s
+        with pytest.raises(ValueError, match="non-negative"):
+            audit_axioms("mer", iterations=5, seed=-5)
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_the_ends_of_the_seed_range_run(self, seed):
+        report = audit_axioms("mer", iterations=20, seed=seed)
+        assert all(entry.holds == 20 for entry in report.values())
 
 
 SCHEMES = ("oer", "mer", "e2r")
@@ -188,7 +220,7 @@ class TestBatchAgainstWrappers:
         iterations = 90
         for seed in (3, 4, 5):
             report = audit_axioms(scheme, iterations=iterations, seed=seed)
-            rng = np.random.default_rng(seed)
+            rng = axioms._Uniforms(seed)
             for axiom in AXIOMS:
                 instances = {}
                 for index, group in axioms._groups(axiom, rng, iterations, scheme != "oer"):
@@ -224,13 +256,14 @@ class TestBulkDraws:
     @pytest.mark.parametrize("axiom", AXIOMS)
     @pytest.mark.parametrize("normalized", [False, True])
     def test_every_instance_satisfies_the_hypothesis(self, axiom, normalized):
-        rng = np.random.default_rng(11)
-        for n_grades, n_items in SIZES:
-            group = axioms._draw(axiom, rng, 20, n_grades, n_items, normalized)
-            for j in range(20):
-                # raises AxiomInapplicableError off the hypothesis and, under
-                # mer, WeightSumError for weights that do not sum to one
-                check_axiom(axiom, "mer" if normalized else "oer", axioms._items(*group, j))
+        # the audit's stream, and a numpy Generator as generate_axiom_instance accepts
+        for rng in (axioms._Uniforms(11), np.random.default_rng(11)):
+            for n_grades, n_items in SIZES:
+                group = axioms._draw(axiom, rng, 20, n_grades, n_items, normalized)
+                for j in range(20):
+                    # raises AxiomInapplicableError off the hypothesis and, under
+                    # mer, WeightSumError for weights that do not sum to one
+                    check_axiom(axiom, "mer" if normalized else "oer", axioms._items(*group, j))
 
     def test_free_weight_incompleteness_pins_complete_items_at_full_weight(self):
         group = axioms._draw("incompleteness", np.random.default_rng(0), 200, 4, 3, False)
@@ -243,3 +276,75 @@ class TestBulkDraws:
         )
         # pinned with probability 1/2 when some item is complete (3/4 for three items)
         assert 50 <= pinned <= 100
+
+
+class FixedUniforms:
+    """A stand-in for the audit's stream that returns the given doubles in every shape asked."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=float)
+
+    def random(self, shape):
+        return np.broadcast_to(self.values, shape)
+
+
+class TestUniforms:
+    """The audit's stream: uniform doubles from random.Random, and the draws built on them."""
+
+    def test_a_seed_gives_the_same_draws(self):
+        for seed in (0, 5, 2**64 - 1):
+            a, b = axioms._Uniforms(seed), axioms._Uniforms(seed)
+            assert np.array_equal(a.random((3, 4)), b.random((3, 4)))
+            assert np.array_equal(a.random(7), b.random(7))
+        assert not np.array_equal(axioms._Uniforms(0).random(8), axioms._Uniforms(1).random(8))
+
+    def test_shapes_and_the_words_behind_them(self):
+        u = axioms._Uniforms(9).random((2, 3))
+        assert u.shape == (2, 3) and u.dtype == np.float64
+        assert axioms._Uniforms(9).random(()).shape == ()
+        # each double is the top 53 bits of one little-endian 64-bit word
+        words = random.Random(9).randbytes(8 * 6)
+        expected = [(int.from_bytes(words[i : i + 8], "little") >> 11) / 2**53 for i in range(0, 48, 8)]
+        assert u.ravel().tolist() == expected
+
+    def test_a_seed_that_is_not_an_integer_is_refused(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            axioms._Uniforms(-1)
+        with pytest.raises(TypeError):
+            axioms._Uniforms(1.5)
+        assert np.array_equal(axioms._Uniforms(np.int64(3)).random(4), axioms._Uniforms(3).random(4))
+
+    def test_uniforms_lie_in_the_half_open_unit_interval(self):
+        u = axioms._Uniforms(1).random(100_000)
+        assert u.min() >= 0.0 and u.max() < 1.0
+        assert 0.49 < u.mean() < 0.51
+
+    @pytest.mark.parametrize("low, high", [(0, 2), (1, 5), (2, 7), (0, 6)])
+    def test_integers_reach_every_value_of_their_range(self, low, high):
+        values = axioms._integers(axioms._Uniforms(2), low, high, 2_000)
+        assert values.dtype == np.int64
+        assert sorted(set(values.tolist())) == list(range(low, high))
+
+    def test_the_largest_uniform_stays_below_the_top_integer(self):
+        top = FixedUniforms(1.0 - 2.0**-53)
+        for span in range(1, 65):
+            assert axioms._integers(top, 0, span, 1)[0] == span - 1
+
+    def test_exponentials_are_finite_and_non_negative(self):
+        x = axioms._exponential(axioms._Uniforms(3), 100_000)
+        assert np.isfinite(x).all() and (x >= 0.0).all()
+        assert 0.98 < x.mean() < 1.02
+        # u = 0 maps to exactly zero, the largest u < 1 to 53·log 2
+        ends = FixedUniforms([0.0, 1.0 - 2.0**-53])
+        assert axioms._exponential(ends, 2).tolist() == [0.0, pytest.approx(53 * np.log(2))]
+
+    @pytest.mark.parametrize("n_items", [1, 2, 6])
+    def test_dirichlet_weights_sum_to_one(self, n_items):
+        group = axioms._draw("consensus", axioms._Uniforms(4), 500, 3, n_items, True)
+        weights, importance = group[1][0], group[1][2]
+        for simplex in (weights, importance):
+            assert simplex.shape == (n_items, 500)
+            assert (simplex > 0.0).all()
+            assert np.allclose(simplex.sum(axis=0), 1.0, rtol=0.0, atol=1e-12)
+        # Dirichlet(3, …, 3) has mean 1 / n_items per component
+        assert np.allclose(weights.mean(axis=1), 1.0 / n_items, atol=0.03)

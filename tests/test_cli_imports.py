@@ -1,5 +1,6 @@
 """What each command of the CLI loads: ``import erkit.cli`` loads no library
-module and not numpy, and each command imports only the modules it runs."""
+module and not numpy, each command imports only the modules it runs, and no
+command loads ``numpy.random``."""
 
 import importlib
 import importlib.util
@@ -18,7 +19,7 @@ ROOT = Path(__file__).resolve().parent.parent
 MODEL = ROOT / "src" / "erkit" / "data" / "motorcycle.json"
 
 # Imports erkit.cli, runs main() on the arguments after the output path when there are
-# any, and writes the erkit modules and numpy that the interpreter then holds.
+# any, and writes the erkit and numpy modules that the interpreter then holds.
 CHILD = (
     "import json, sys\n"
     "import erkit.cli\n"
@@ -27,12 +28,17 @@ CHILD = (
     "        erkit.cli.main(sys.argv[2:])\n"
     "    except SystemExit:\n"
     "        pass\n"
-    "loaded = sorted(m for m in sys.modules if m == 'numpy' or m.split('.')[0] == 'erkit')\n"
+    "loaded = sorted(m for m in sys.modules if m.split('.')[0] in ('erkit', 'numpy'))\n"
     "with open(sys.argv[1], 'w') as fh:\n"
     "    json.dump(loaded, fh)\n"
 )
 
 BARE = ["erkit", "erkit.cli", "erkit.errors"]
+
+# Recent numpy loads numpy.random on first use; older releases load it with numpy itself.
+NUMPY_LOADS_RANDOM = subprocess.run(
+    [sys.executable, "-c", "import sys, numpy; sys.exit('numpy.random' in sys.modules)"], timeout=120
+).returncode == 1
 
 
 def loaded_by(tmp_path, *argv):
@@ -59,10 +65,16 @@ def test_import_version_help_and_usage_errors_load_no_library_module(tmp_path, a
     assert sorted(loaded_by(tmp_path, *argv)) == BARE
 
 
+def assert_no_numpy_random(loaded):
+    assert NUMPY_LOADS_RANDOM or "numpy.random" not in loaded
+
+
 def test_check_axioms_loads_no_model_code(tmp_path):
     loaded = loaded_by(tmp_path, "check-axioms", "--iterations", "5", "--out", "audit.txt")
     assert {"erkit.axioms", "erkit.algorithms", "numpy"} <= loaded
     assert not loaded & {"erkit.modelio", "erkit.hierarchy", "erkit.decision", "erkit.dst"}
+    # the audit draws from the stdlib's random.Random, not numpy's generators
+    assert_no_numpy_random(loaded)
 
 
 @pytest.mark.parametrize("command", ["evaluate", "compare"])
@@ -70,6 +82,7 @@ def test_evaluate_and_compare_load_no_axiom_audit(tmp_path, command):
     loaded = loaded_by(tmp_path, command, "--out", "report.txt", str(MODEL))
     assert {"erkit.modelio", "erkit.hierarchy", "erkit.decision", "numpy"} <= loaded
     assert not loaded & {"erkit.axioms", "erkit.dst"}
+    assert_no_numpy_random(loaded)
 
 
 def test_schemes_are_the_aggregators_in_their_order():

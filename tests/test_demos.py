@@ -11,8 +11,8 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 GOLDEN = Path(__file__).parent / "data" / "golden"
-# Demo 04 draws from seeded numpy Generators, whose streams numpy does not
-# promise to keep across versions, so its output is not pinned.
+# Demo 04 draws instances from a seeded numpy Generator, whose stream numpy does
+# not promise to keep across versions, so its output is not pinned.
 PINNED = ("01_mass_functions", "02_flat_aggregation", "03_motorcycle_study")
 
 
