@@ -11,8 +11,10 @@ imported from its module on first read.  ``check-axioms`` loads
 ``erkit.axioms`` and what it needs (``algorithms``, ``frame``, numpy and
 the stdlib's ``random``), and ``evaluate`` and ``compare`` load
 ``modelio`` and what it needs, but not ``axioms``; no command loads the
-oracle module ``erkit.dst`` or ``numpy.random``.  The commands read these names through the module, so a
-wrapper set on ``erkit.cli`` in place of one is what runs.
+oracle module ``erkit.dst`` or ``numpy.random``.  The commands read these
+names from the CLI's own namespace, so a wrapper set on ``erkit.cli`` in
+place of one is what runs, and the CLI runs as well under a runpy host such
+as ``python -m cProfile -m erkit.cli``.
 
 Exit codes: 0 success, 1 validation failure, 2 runtime aggregation failure
 (total conflict or a degenerate mass), 3 I/O failure.  Reports go to
@@ -65,8 +67,13 @@ def __getattr__(name: str):
     return value
 
 
-#: This module, through which the commands read the library names.
-_cli = sys.modules[__name__]
+def _library(name: str):
+    """A library name as the CLI's own namespace holds it, so that a wrapper set there
+    runs; imported on first read otherwise.  Read through ``globals()``: under a runpy
+    host (``python -m cProfile -m erkit.cli``) ``sys.modules[__name__]`` is the host's
+    ``__main__``, and the namespace the CLI runs in is no module."""
+    return globals()[name] if name in globals() else __getattr__(name)
+
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -146,10 +153,10 @@ def _run_algorithms(
     ``with_trace`` that fold also keeps the per-step traces it reports."""
     documents = []
     for algorithm in algorithms:
-        batch = _cli.evaluate_batch(model, algorithm, with_trace)
-        traces = _cli.trace_to_json(batch) if with_trace else None
-        ranked = _cli.decide(batch, model.utility)
-        documents.append(_cli.result_from_evaluation(batch, ranked, traces))
+        batch = _library("evaluate_batch")(model, algorithm, with_trace)
+        traces = _library("trace_to_json")(batch) if with_trace else None
+        ranked = _library("decide")(batch, model.utility)
+        documents.append(_library("result_from_evaluation")(batch, ranked, traces))
     return documents
 
 
@@ -158,8 +165,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     # Only the JSON report holds traces; the table and CSV reports fold without them.
     with_trace = args.trace and args.format == "json"
     # The model is bound to no name here, so it is freed before the report is encoded.
-    documents = _run_algorithms(_cli.load_model(args.model, strict=args.strict), algorithms, with_trace)
-    _emit(_cli.save_results(documents, format=args.format), args.out)
+    documents = _run_algorithms(
+        _library("load_model")(args.model, strict=args.strict), algorithms, with_trace
+    )
+    _emit(_library("save_results")(documents, format=args.format), args.out)
     return EXIT_OK
 
 
@@ -167,7 +176,7 @@ def _compare_report(documents: list[ResultDocument]) -> dict:
     frame = list(documents[0].frame)
     alternatives = documents[0].alternatives
     roots = {doc.algorithm: doc.root_rows() for doc in documents}
-    keys = (*frame, _cli.UNASSIGNED)
+    keys = (*frame, _library("UNASSIGNED"))
     comparison = {}
     for i, alt in enumerate(alternatives):
         dists = {
@@ -189,7 +198,7 @@ def _compare_report(documents: list[ResultDocument]) -> dict:
 
 
 def _render_compare_table(report: dict) -> str:
-    keys, format_row = (*report["frame"], _cli.UNASSIGNED), _cli._format_row
+    keys, format_row = (*report["frame"], _library("UNASSIGNED")), _library("_format_row")
     lines = []
     for alt in report["alternatives"]:
         lines.append(f"Alternative: {alt}")
@@ -215,11 +224,11 @@ def _render_compare_table(report: dict) -> str:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    model = _cli.load_model(args.model, strict=args.strict)
+    model = _library("load_model")(args.model, strict=args.strict)
     documents = _run_algorithms(model, SCHEMES, with_trace=False)
     del model  # frees the model and its plan before the report is built
     if args.format == "csv":
-        _emit(_cli.save_results(documents, format="csv"), args.out)
+        _emit(_library("save_results")(documents, format="csv"), args.out)
         return EXIT_OK
     report = _compare_report(documents)
     if args.format == "json":
@@ -248,7 +257,7 @@ def _render_audit_table(algorithm: str, iterations: int, seed: int, report) -> s
 
 
 def cmd_check_axioms(args: argparse.Namespace) -> int:
-    report = _cli.audit_axioms(args.algo, iterations=args.iterations, seed=args.seed)
+    report = _library("audit_axioms")(args.algo, iterations=args.iterations, seed=args.seed)
     if args.format == "json":
         payload = {
             "schema": "er-axiom-audit/1",

@@ -5,6 +5,9 @@ the modified one importance discounting plus the extended rule; the tests
 assemble both from the parts here and hold :mod:`erkit.algorithms` to them.
 The two modules share only :mod:`erkit.frame`, whose ``GradeFrame`` this
 module re-exports; no command loads this one, and it loads no numpy.
+Every sum goes through ``_sum`` and the constants are ints, so masses and
+factors given as :class:`~fractions.Fraction` combine exactly, while float
+inputs give what ``math.fsum`` and float constants give, bit for bit.
 
 The mass functions here are specialized to the focal
 structure that distributed assessments actually produce: singleton grades,
@@ -21,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .errors import CompleteConflictError, DegenerateMassError, FrameMismatchError
@@ -31,6 +35,15 @@ MASS_SUM_TOL = 1e-9
 
 BBA = "bba"
 IBBA = "ibba"
+
+
+def _sum(values):
+    """The sum of ``values``: exact if any is a :class:`~fractions.Fraction`, so masses
+    given as Fractions stay exact; the exactly rounded ``math.fsum`` otherwise."""
+    values = list(values)
+    if any(isinstance(v, Fraction) for v in values):
+        return sum(values, Fraction(0))
+    return math.fsum(values)
 
 
 def _as_mask(frame: GradeFrame, subset: int | Iterable[str]) -> int:
@@ -66,7 +79,7 @@ class MassFunction:
                 raise ValueError(f"mass {value!r} outside [0, 1]")
         if self.kind == BBA and self.omega_mass != 0.0:
             raise ValueError("a plain BBA cannot commit mass to Omega")
-        total = math.fsum((*self.singletons, self.frame_mass, self.omega_mass))
+        total = _sum((*self.singletons, self.frame_mass, self.omega_mass))
         if abs(total - 1.0) > MASS_SUM_TOL:
             raise ValueError(f"masses sum to {total!r}, expected 1")
 
@@ -88,7 +101,7 @@ class MassFunction:
         for grade, mass in singleton_masses.items():
             values[frame.index(grade)] = mass
         if frame_mass is None:
-            frame_mass = 1.0 - math.fsum(values) - omega_mass
+            frame_mass = 1.0 - _sum(values) - omega_mass
             if frame_mass < 0.0:
                 if frame_mass < -MASS_SUM_TOL:
                     raise ValueError("masses add up beyond 1; no residual left for the frame")
@@ -123,7 +136,7 @@ class MassFunction:
         Never applied implicitly: silently repairing an invalid input would
         hide data errors upstream.
         """
-        total = math.fsum((*self.singletons, self.frame_mass, self.omega_mass))
+        total = _sum((*self.singletons, self.frame_mass, self.omega_mass))
         return MassFunction(
             self.frame,
             tuple(v / total for v in self.singletons),
@@ -168,7 +181,7 @@ class GeneralMassFunction:
                 raise ValueError("the empty subset cannot carry mass")
             if value > 0.0:
                 cleaned[mask] = value
-        total = math.fsum(cleaned.values())
+        total = _sum(cleaned.values())
         if abs(total - 1.0) > MASS_SUM_TOL:
             raise ValueError(f"masses sum to {total!r}, expected 1")
         object.__setattr__(self, "focal_masses", cleaned)
@@ -192,15 +205,13 @@ def _require_same_frame(a, b) -> None:
 def belief(m: GeneralMassFunction, subset: int | Iterable[str]) -> float:
     """Total mass exactly committed to (non-empty) subsets of ``subset``."""
     mask = _as_mask(m.frame, subset)
-    return math.fsum(
-        v for b, v in m.focal_masses.items() if b != 0 and b & ~mask == 0
-    )
+    return _sum(v for b, v in m.focal_masses.items() if b != 0 and b & ~mask == 0)
 
 
 def plausibility(m: GeneralMassFunction, subset: int | Iterable[str]) -> float:
     """Total mass of focal elements compatible with ``subset``."""
     mask = _as_mask(m.frame, subset)
-    return math.fsum(v for b, v in m.focal_masses.items() if b & mask)
+    return _sum(v for b, v in m.focal_masses.items() if b & mask)
 
 
 def pignistic(m: GeneralMassFunction) -> dict[str, float]:
@@ -217,7 +228,7 @@ def pignistic(m: GeneralMassFunction) -> dict[str, float]:
 def pignistic_probability(m: GeneralMassFunction, subset: int | Iterable[str]) -> float:
     """Pignistic probability of an arbitrary grade subset."""
     mask = _as_mask(m.frame, subset)
-    return math.fsum(
+    return _sum(
         value * (mask & b).bit_count() / b.bit_count()
         for b, value in m.focal_masses.items()
         if mask & b
@@ -250,7 +261,7 @@ def reliability_discount(m: MassFunction, alpha: float) -> MassFunction:
     return MassFunction(
         m.frame,
         tuple(alpha * v for v in m.singletons),
-        alpha * m.frame_mass + (1.0 - alpha),
+        alpha * m.frame_mass + (1 - alpha),
     )
 
 
@@ -262,7 +273,7 @@ def importance_discount(m: MassFunction, beta: float) -> MassFunction:
         m.frame,
         tuple(beta * v for v in m.singletons),
         beta * m.frame_mass,
-        1.0 - beta,
+        1 - beta,
         IBBA,
     )
 
@@ -280,17 +291,17 @@ def reliability_importance_discount(m: MassFunction, alpha: float, beta: float) 
     return MassFunction(
         m.frame,
         tuple(beta * (alpha * v) for v in m.singletons),
-        beta * (alpha * m.frame_mass + (1.0 - alpha)),
-        1.0 - beta,
+        beta * (alpha * m.frame_mass + (1 - alpha)),
+        1 - beta,
         IBBA,
     )
 
 
 def _singleton_conflict(a, b) -> float:
     """Mass product landing on the empty set: all pairs of distinct singletons."""
-    total_a = math.fsum(a)
-    total_b = math.fsum(b)
-    agree = math.fsum(x * y for x, y in zip(a, b))
+    total_a = _sum(a)
+    total_b = _sum(b)
+    agree = _sum(x * y for x, y in zip(a, b))
     return total_a * total_b - agree
 
 
@@ -299,10 +310,10 @@ def dempster_combine(m1: MassFunction, m2: MassFunction) -> MassFunction:
     _require_plain(m1, "dempster_combine")
     _require_plain(m2, "dempster_combine")
     _require_same_frame(m1, m2)
-    denom = 1.0 - _singleton_conflict(m1.singletons, m2.singletons)
+    denom = 1 - _singleton_conflict(m1.singletons, m2.singletons)
     if denom <= CONFLICT_TOL:
         raise CompleteConflictError("the two mass functions are in total conflict")
-    k = 1.0 / denom
+    k = 1 / denom
     singles = tuple(
         k * (a * b + a * m2.frame_mass + m1.frame_mass * b)
         for a, b in zip(m1.singletons, m2.singletons)
@@ -318,10 +329,10 @@ def extended_dempster_combine(m1: MassFunction, m2: MassFunction) -> MassFunctio
     Plain BBAs are accepted and treated as IBBAs without Omega mass.
     """
     _require_same_frame(m1, m2)
-    denom = 1.0 - _singleton_conflict(m1.singletons, m2.singletons)
+    denom = 1 - _singleton_conflict(m1.singletons, m2.singletons)
     if denom <= CONFLICT_TOL:
         raise CompleteConflictError("the two mass functions are in total conflict")
-    k = 1.0 / denom
+    k = 1 / denom
     vague1 = m1.frame_mass + m1.omega_mass
     vague2 = m2.frame_mass + m2.omega_mass
     singles = tuple(
@@ -343,7 +354,7 @@ def normalize_ibba(m: MassFunction) -> MassFunction:
         raise DegenerateMassError("all mass sits on Omega; nothing to normalize")
     if m.omega_mass == 0.0:
         return MassFunction(m.frame, m.singletons, m.frame_mass)
-    scale = 1.0 / (1.0 - m.omega_mass)
+    scale = 1 / (1 - m.omega_mass)
     return MassFunction(
         m.frame,
         tuple(scale * v for v in m.singletons),
@@ -361,15 +372,15 @@ def generic_combine(m1: GeneralMassFunction, m2: GeneralMassFunction) -> General
     if m1.frame.size > 20:
         raise ValueError("generic combination is limited to frames of at most 20 grades")
     acc: dict[int, float] = {}
-    conflict = 0.0
+    conflict = 0
     for b, vb in m1.focal_masses.items():
         for c, vc in m2.focal_masses.items():
             meet = b & c
             if meet == 0:
                 conflict += vb * vc
             else:
-                acc[meet] = acc.get(meet, 0.0) + vb * vc
-    denom = 1.0 - conflict
+                acc[meet] = acc.get(meet, 0) + vb * vc
+    denom = 1 - conflict
     if denom <= CONFLICT_TOL:
         raise CompleteConflictError("the two mass functions are in total conflict")
     return GeneralMassFunction(m1.frame, {mask: v / denom for mask, v in acc.items()})

@@ -18,8 +18,10 @@ reports every structural problem of a model; among them, a node name
 that is empty or holds ``/`` (the path separator), a grade named
 :data:`UNASSIGNED`, the name every report gives the unassigned degree,
 and a node name, grade or alternative that does not encode as UTF-8, so
-a model it accepts saves and loads back; also a leaf row that is not a
-belief distribution, which no fold checks.
+a model it accepts saves and loads back; a field of the wrong type, such
+as a node name, grade or alternative that is no string or a factor that
+is no real number (a boolean included), rather than a ``TypeError``; also
+a leaf row that is not a belief distribution, which no fold checks.
 
 Evaluation runs on a model's :attr:`~EvaluationModel.plan`, compiled on
 first use: the tree walked once, iteratively, into a post-order of nodes
@@ -42,6 +44,7 @@ tree depth is bounded by memory, not by the recursion limit.
 from __future__ import annotations
 
 import math
+import numbers
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -89,8 +92,17 @@ def _name_fault(name) -> str | None:
 
 
 def _strings_fault(key: str, values) -> str | None:
-    """The fault of a list of names of which one does not encode as UTF-8; ``None`` if all do."""
+    """The fault of a list of names of which one is not a string or does not encode as
+    UTF-8; ``None`` if all are strings that do."""
+    for value in values:
+        if not isinstance(value, str):
+            return f"{key} must hold strings only, got {value!r}"
     return None if _encodes("".join(values)) else f"{key} holds a string that does not encode as UTF-8"
+
+
+def _is_number(value) -> bool:
+    """Whether a factor is a real number; a boolean is not, as :func:`~erkit.load_model` takes none."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 class AssessmentTable(Mapping[str, Assessment]):
@@ -341,7 +353,11 @@ def validate(model: EvaluationModel) -> list[Diagnostic]:
             problems.append(Diagnostic(path, "node name contains '/', the path separator"))
         for name in ("reliability", "importance", "weight"):
             value = getattr(node, name)
-            if value is not None and not 0.0 <= value <= 1.0:
+            if value is None:
+                continue
+            if not _is_number(value):
+                problems.append(Diagnostic(path, f"{name} must be a number, got {value!r}"))
+            elif not 0.0 <= value <= 1.0:
                 problems.append(Diagnostic(path, f"{name} {value} outside [0, 1]"))
         if node.is_basic:
             if node.reliability is None:
@@ -369,14 +385,16 @@ def validate(model: EvaluationModel) -> list[Diagnostic]:
         else:
             if node.assessments:
                 problems.append(Diagnostic(path, "general attribute carries assessments"))
-            repeated = [name for name, count in Counter(c.name for c in node.children).items() if count > 1]
+            # A name that is no string is its own node's diagnostic, and may not be hashable.
+            names = Counter(c.name for c in node.children if isinstance(c.name, str))
+            repeated = [name for name, count in names.items() if count > 1]
             if repeated:
                 problems.append(Diagnostic(path, f"children have duplicate names: {repeated}"))
             importances = [c.importance for c in node.children]
             if any(v is None for v in importances):
                 nameless = [c.name for c, v in zip(node.children, importances) if v is None]
                 problems.append(Diagnostic(path, f"children lack importances: {nameless}"))
-            else:
+            elif all(map(_is_number, importances)):  # a child's non-number is its own diagnostic
                 total = math.fsum(importances)
                 if abs(total - 1.0) > WEIGHT_SUM_TOL:
                     problems.append(

@@ -585,26 +585,20 @@ def _in_frame_order(degrees, frame: tuple[str, ...]) -> list | None:
     return None
 
 
-def _node_values(dist, frame: tuple[str, ...], where: str, path: str) -> list:
-    """One node's degrees in frame order, then its unassigned degree; numbers only.
-
-    Checked per node rather than per value, as a saved report holds one
-    node per path and alternative; the message is built only on failure.
-    """
+def _node_values(dist, frame: tuple[str, ...], whats: Sequence[str], where: str) -> list[float]:
+    """One node's degrees in frame order, then its unassigned degree, each through
+    :func:`_number` with its name in ``whats``, so a fault names its place and value."""
     values = _in_frame_order(dist.get("assigned") if isinstance(dist, Mapping) else None, frame)
     if values is None:
-        raise ModelFormatError(
-            f"{where}: node {path!r} needs an assigned object with one degree per grade"
-        )
+        raise ModelFormatError(f"{where}: needs an assigned object with one degree per grade")
     values.append(dist.get("unassigned"))
-    # Exact types: a JSON boolean is an int subclass and is not a degree.
-    if not _NUMBER_TYPES.issuperset(map(type, values)):
-        raise ModelFormatError(f"{where}: node {path!r}: degrees must be numbers, got {values!r}")
-    return values
+    return [_number(value, what, where) for value, what in zip(values, whats)]
 
 
 def _document_from_json(raw, where: str) -> ResultDocument:
-    """One result document, every point of its schema checked, its node results as arrays."""
+    """One result document, every point of its schema checked, its node results as arrays.
+    Each number goes through :func:`_number` once, in document order, so the first fault is
+    reported with its alternative, node path (or redistributed degree, or utility) and value."""
     if not isinstance(raw, Mapping):
         raise ModelFormatError(f"{where}: must be an object")
     algorithm = _require(raw, "algorithm", where)
@@ -615,6 +609,7 @@ def _document_from_json(raw, where: str) -> ResultDocument:
     results = _require_object(raw, "results", where)
     ranking = _require_strings(raw, "ranking", where)
 
+    whats = [*(f"assigned degree of {g!r}" for g in frame), "unassigned degree"]
     paths: tuple[str, ...] = ()
     values, utilities = [], {}
     for i, alt in enumerate(alternatives):
@@ -630,28 +625,15 @@ def _document_from_json(raw, where: str) -> ResultDocument:
         elif len(nodes) != len(paths) or not all(p in nodes for p in paths):
             raise ModelFormatError(f"{here}: nodes must name the same paths for every alternative")
         for path in paths:
-            values.extend(_node_values(nodes[path], frame, here, path))
+            values += _node_values(nodes[path], frame, whats, f"{here}: node {path!r}")
         redistributed = _in_frame_order(_require_object(entry, "redistributed", here), frame)
         if redistributed is None:
             raise ModelFormatError(f"{here}: redistributed must give one degree per grade")
-        if not _NUMBER_TYPES.issuperset(map(type, redistributed)):
-            for d in redistributed:
-                _number(d, "redistributed degree", here)  # raises for the first non-number
-        values.extend(redistributed)  # one more frame-ordered block of the alternative's row
+        values += (_number(d, "redistributed degree", here) for d in redistributed)
         utilities[alt] = _number(_require(entry, "utility", here), "utility", here)
 
-    try:
-        stacked = np.array(values, dtype=float)
-        finite = np.isfinite(stacked).all()
-    except OverflowError:  # an integer beyond the double range
-        finite = False
-    if not finite:
-        for alt in alternatives:  # a redistributed degree at fault is named as such
-            for d in results[alt]["redistributed"].values():
-                _number(d, "redistributed degree", f"{where}: results for {alt!r}")
-        raise ModelFormatError(f"{where}: node degrees must be finite doubles")
     grades, per_node = len(frame), len(paths) * (len(frame) + 1)
-    stacked = stacked.reshape(len(alternatives), per_node + grades)
+    stacked = np.array(values).reshape(len(alternatives), per_node + grades)
     node_rows = stacked[:, :per_node].reshape(len(alternatives), len(paths), grades + 1)
     try:
         return ResultDocument(

@@ -71,6 +71,18 @@ class TestAssessment:
         with pytest.raises(ValueError, match="one combined degree per grade"):
             CombinedAssessment(H5, (1.0,), 0.0)
 
+    @pytest.mark.parametrize(
+        "assigned, unassigned",
+        [
+            pytest.param((float("nan"), 0.5, 0.5, 0.0, 0.0), 0.0, id="nan-degree"),
+            pytest.param((1.2, 0.0, 0.0, 0.0, 0.0), -0.2, id="degree-over-one"),
+            pytest.param((0.3, 0.3, 0.2, 0.0, 0.0), 0.1, id="total-short"),
+        ],
+    )
+    def test_a_combined_assessment_must_be_a_belief_distribution(self, assigned, unassigned):
+        with pytest.raises(ValueError, match=r"combined degrees outside \[0, 1\] or not summing to 1"):
+            CombinedAssessment(H5, assigned, unassigned)
+
     def test_unassigned_residual(self):
         a = Assessment.from_degrees(H5, {"g3": 0.5, "g4": 0.3})
         assert a.unassigned == pytest.approx(0.2)

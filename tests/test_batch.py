@@ -3,10 +3,12 @@
 import itertools
 import json
 import math
+import random
 from dataclasses import replace
 from fractions import Fraction
 from functools import reduce
 from operator import mul
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -309,6 +311,139 @@ def test_the_kernel_folds_fractions_exactly_and_floats_within_the_rounding_bound
         error = np.abs(_exactly(batch.assigned[i].T) - assigned).max(axis=0)
         error = np.maximum(error, np.abs(_exactly(batch.unassigned[i]) - unassigned))
         assert (error <= bounds[i]).all(), plan.paths[i]
+
+
+def _split(rng, parts, total):
+    """``parts`` non-negative ints summing to ``total``."""
+    cuts = sorted(rng.randint(0, total) for _ in range(parts - 1))
+    return [b - a for a, b in zip([0, *cuts], [*cuts, total])]
+
+
+def _exact_assessment(rng, frame):
+    """A possibly incomplete assessment in hundredths, duck-typed as ``dst_reference`` reads
+    it: Fraction degrees and their exact unassigned degree, where ``Assessment`` rounds."""
+    degrees = tuple(Fraction(k, 100) for k in _split(rng, frame.size, rng.randint(0, 100)))
+    return SimpleNamespace(frame=frame, degrees=degrees, unassigned=1 - sum(degrees))
+
+
+def _sibling_factors(rng, n):
+    """(weight, reliability, importance) of ``n`` siblings in hundredths: importances, and
+    weights where drawn, sum to one, as a tree's siblings' must and mer's items' must."""
+    importances = _split(rng, n, 100)
+    weights = _split(rng, n, 100) if rng.random() < 0.5 else [None] * n
+    return [
+        (None if w is None else Fraction(w, 100), Fraction(rng.randint(0, 100), 100), Fraction(i, 100))
+        for w, i in zip(weights, importances)
+    ]
+
+
+def _float(value):
+    return None if value is None else float(value)
+
+
+def _exact(value):
+    return None if value is None else Fraction(value)
+
+
+@pytest.mark.parametrize("scheme", AGGREGATORS)
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), grades=st.integers(2, 5), n=st.integers(1, 6))
+def test_the_kernel_equals_the_dst_oracle_in_rational_arithmetic_on_flat_items(scheme, seed, grades, n):
+    """Run on Fractions, the kernel and the erkit.dst pipelines give equal Fractions, not
+    merely close ones, or both raise; the kernel's factors come through ``_factor_pairs``."""
+    rng, frame = random.Random(seed), frame_of(grades)
+    items = [
+        SimpleNamespace(assessment=_exact_assessment(rng, frame), weight=w, reliability=r, importance=i)
+        for w, r, i in _sibling_factors(rng, n)
+    ]
+    blocks = np.array([i.assessment.degrees for i in items], dtype=object)
+    factors = _fraction_pairs(_factor_pairs(scheme, [(i.weight, i.reliability, i.importance) for i in items]))
+    try:
+        want = dst_reference.aggregate(scheme, items)
+    except ErkitError as exc:
+        with pytest.raises(type(exc)):
+            _aggregate(blocks, factors)
+        return
+    assigned, unassigned, _ = _aggregate(blocks, factors)
+    assert all(type(x) is Fraction for x in (*want.singletons, want.frame_mass))
+    assert (tuple(assigned), unassigned) == (want.singletons, want.frame_mass)
+
+
+@pytest.mark.parametrize("scheme", AGGREGATORS)
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    depth=st.integers(1, 3),
+    branching=st.integers(1, 3),
+    grades=st.integers(2, 4),
+    alternatives=st.integers(1, 4),
+)
+def test_the_kernel_equals_the_dst_oracle_in_rational_arithmetic_on_trees(
+    scheme, seed, depth, branching, grades, alternatives
+):
+    """``hierarchy._fold`` on Fraction leaf blocks gives, at every general node, the
+    Fractions ``dst_reference.evaluate`` gives on the same tree, or both raise."""
+    from erkit import hierarchy
+
+    rng, frame = random.Random(seed), frame_of(grades)
+    alts = tuple(f"a{i}" for i in range(alternatives))
+    exact = {}  # leaf name -> alternative -> exact assessment
+
+    def grow(name, level, weight=None, reliability=None, importance=None):
+        factors = {"weight": _float(weight), "importance": _float(importance)}
+        if level == depth or (level and rng.random() < 0.2):
+            exact[name] = {alt: _exact_assessment(rng, frame) for alt in alts}
+            assessments = {alt: Assessment(frame, tuple(map(float, a.degrees))) for alt, a in exact[name].items()}
+            return AttributeNode(name, reliability=float(reliability), assessments=assessments, **factors)
+        kids = _sibling_factors(rng, rng.randint(1, branching))
+        children = tuple(grow(f"{name}.{k}", level + 1, *f) for k, f in enumerate(kids))
+        return AttributeNode(name, children=children, **factors)
+
+    model = EvaluationModel(frame, alts, grow("r", 0))
+    plan = hierarchy.CompiledModel(model)
+    plan.leaf_columns = {
+        i: (
+            np.array([exact[plan.nodes[i].name][alt].degrees for alt in alts], dtype=object).T,
+            np.array([exact[plan.nodes[i].name][alt].unassigned for alt in alts], dtype=object),
+        )
+        for i, kids in enumerate(plan.children)
+        if not kids
+    }
+    # The oracle's tree: the same factors as Fractions, its leaves' exact assessments.
+    nodes = []
+    for i, kids in enumerate(plan.children):
+        node = plan.nodes[i]
+        nodes.append(
+            SimpleNamespace(
+                name=node.name,
+                is_basic=not kids,
+                children=[nodes[j] for j in kids],
+                assessments=exact.get(node.name),
+                weight=_exact(node.weight),
+                reliability=Fraction(plan.reliabilities[i]),
+                importance=_exact(node.importance),
+            )
+        )
+    try:
+        want = [dst_reference.evaluate(scheme, nodes[-1], alt) for alt in alts]
+    except ErkitError as exc:
+        want = exc
+    factor_pairs = hierarchy._factor_pairs
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(hierarchy, "_factor_pairs", lambda *args: _fraction_pairs(factor_pairs(*args)))
+        if isinstance(want, ErkitError):
+            with pytest.raises(type(want)):
+                hierarchy._fold(plan, scheme, slice(None), False)
+            return
+        results, _ = hierarchy._fold(plan, scheme, slice(None), False)
+    for i, kids in enumerate(plan.children):
+        if not kids:
+            continue
+        assigned, unassigned = results[i]
+        for a, masses in enumerate(want):
+            mass = masses[plan.paths[i]]
+            assert all(type(x) is Fraction for x in (*mass.singletons, mass.frame_mass))
+            assert (tuple(assigned[:, a]), unassigned[a]) == (mass.singletons, mass.frame_mass), plan.paths[i]
 
 
 _SLIVER = st.floats(1, 12).map(lambda e: 10.0**-e)

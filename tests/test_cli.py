@@ -556,3 +556,20 @@ class TestNearTotalConflict:
         items = [WeightedAssessment(c.assessments["a"], reliability=c.reliability) for c in model.root.children]
         with pytest.raises(errors.DegenerateMassError, match="^" + message):
             oer_aggregate(items)
+
+
+
+def test_a_run_under_cprofile_writes_the_plain_runs_bytes(tmp_path, model_file):
+    """``python -m cProfile -m erkit.cli`` runs the CLI in a namespace of runpy's, with the
+    host as ``__main__``; every name the command reads is still found."""
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = ["-m", "erkit.cli", "evaluate", "--algo", "all", "--format", "json", model_file]
+    plain, profiled = (
+        subprocess.run([sys.executable, *host, *argv], cwd=tmp_path, env=env, capture_output=True, timeout=120)
+        for host in ([], ["-m", "cProfile", "-o", "profile.out"])
+    )
+    assert (plain.returncode, plain.stderr) == (EXIT_OK, b"")
+    assert (profiled.returncode, profiled.stderr) == (EXIT_OK, b"")
+    assert profiled.stdout == plain.stdout
+    assert (tmp_path / "profile.out").stat().st_size > 0

@@ -16,6 +16,7 @@ from erkit import (
     CompleteConflictError,
     ErkitError,
     EvaluationModel,
+    GradeFrame,
     ModelFormatError,
     ModelValidationError,
     UtilityFunction,
@@ -165,6 +166,58 @@ class TestValidate:
         with pytest.raises(ModelValidationError, match=re.escape(message)):
             evaluate_batch(model, "e2r")
 
+    @staticmethod
+    def _first_leaf(**changes):
+        model = toy_model()
+        first, second = model.root.children
+        return replace(model, root=replace(model.root, children=(replace(first, **changes), second)))
+
+    @staticmethod
+    def _integer_grades():
+        frame = GradeFrame((1, 2))
+        x = leaf("x", 0.5, 1.0, {"alt": Assessment(frame, (0.4, 0.6))})
+        return EvaluationModel(frame, ("alt",), AttributeNode("root", children=(x,)))
+
+    @pytest.mark.parametrize(
+        "build, diagnostics",
+        [
+            pytest.param(
+                lambda: TestValidate._first_leaf(name=["first"]),
+                ["root/['first']: node name must be a non-empty string"],
+                id="list-name",
+            ),
+            pytest.param(
+                lambda: TestValidate._first_leaf(name={"first": 1}),
+                ["root/{'first': 1}: node name must be a non-empty string"],
+                id="dict-name",
+            ),
+            pytest.param(
+                lambda: _renamed(toy_model(), alternative=7),
+                ["root: alternatives must hold strings only, got 7"],
+                id="integer-alternative",
+            ),
+            pytest.param(
+                lambda: TestValidate._integer_grades(), ["root: frame must hold strings only, got 1"], id="integer-grades"
+            ),
+            *(
+                pytest.param(
+                    lambda factor=factor, value=value: TestValidate._first_leaf(**{factor: value}),
+                    [f"root/first: {factor} must be a number, got {value!r}"],
+                    id=f"{type(value).__name__}-{factor}",
+                )
+                for factor in ("reliability", "importance", "weight")
+                for value in ("0.5", True)
+            ),
+        ],
+    )
+    def test_wrongly_typed_fields_are_diagnostics(self, build, diagnostics):
+        """A model built in code with a field of the wrong type is refused by name, as
+        ``load_model`` refuses a file; booleans are no factors."""
+        model = build()
+        assert [str(d) for d in validate(model)] == diagnostics
+        with pytest.raises(ModelValidationError):
+            evaluate_batch(model, "e2r")
+
     def test_importance_sum_violation(self):
         model = toy_model(importances=(0.5, 0.6))
         problems = validate(model)
@@ -256,6 +309,11 @@ class TestValidate:
     def test_a_table_is_checked_against_its_own_shape(self, degrees, unassigned):
         with pytest.raises(ValueError, match=r"1 names needs \(1, 5\) degrees and \(1,\) unassigned"):
             AssessmentTable(H5, ("a",), degrees, unassigned)
+
+    def test_in_asks_whether_the_table_lists_an_alternative(self):
+        table = AssessmentTable(H5, ("a", "b"), np.array([self.COMPLETE, self.COMPLETE]), np.zeros(2))
+        assert "b" in table
+        assert "z" not in table
 
     def test_a_table_naming_an_alternative_twice_is_refused(self):
         """Its len() counts two names while a lookup finds one row, so the other row would be dropped."""

@@ -5,6 +5,7 @@ import hashlib
 import importlib.util
 import io
 import json
+import re
 from dataclasses import replace
 from pathlib import Path
 from types import MappingProxyType
@@ -403,6 +404,35 @@ class TestMalformedResultDocuments:
         with pytest.raises(ModelFormatError, match="result document"):
             load_results(json.dumps(payload))
 
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            pytest.param(
+                lambda p: _nodes(p)["root"]["assigned"].update(good=True),
+                "results for 'a': node 'root': assigned degree of 'good' must be a number, got True",
+                id="boolean-degree",
+            ),
+            pytest.param(
+                lambda p: _nodes(p, "b")["root/y"]["assigned"].update(bad="0.5"),
+                "results for 'b': node 'root/y': assigned degree of 'bad' must be a number, got '0.5'",
+                id="string-degree",
+            ),
+            pytest.param(
+                lambda p: (
+                    _nodes(p)["root"]["assigned"].update(good=10**400),
+                    _nodes(p, "b")["root/x"].update(unassigned="0.5"),
+                ),
+                f"results for 'a': node 'root': assigned degree of 'good' must be a finite double, got {10**400!r}",
+                id="first-of-two-faults",
+            ),
+        ],
+    )
+    def test_a_number_fault_names_its_place_and_value(self, mutate, message):
+        payload = _saved_minimal_payload()
+        mutate(payload)
+        with pytest.raises(ModelFormatError, match=f"^{re.escape('result document 0: ' + message)}$"):
+            load_results(json.dumps(payload))
+
 
 def _motorcycle_document(with_trace=False):
     model = derive_reliabilities(motorcycle_model())
@@ -652,25 +682,26 @@ class TestNumbersBeyondTheDoubleRange:
         [
             pytest.param(
                 ("results", "a", "nodes", "root", "assigned", "good"),
-                "node degrees must be finite doubles",
+                "results for 'a': node 'root': assigned degree of 'good'",
                 id="node-degree",
             ),
             pytest.param(
                 ("results", "b", "nodes", "root/x", "unassigned"),
-                "node degrees must be finite doubles",
+                "results for 'b': node 'root/x': unassigned degree",
                 id="node-unassigned",
             ),
-            pytest.param(("results", "b", "utility"), "utility must be a finite double", id="utility"),
+            pytest.param(("results", "b", "utility"), "results for 'b': utility", id="utility"),
             pytest.param(
                 ("results", "a", "redistributed", "bad"),
-                "redistributed degree must be a finite double",
+                "results for 'a': redistributed degree",
                 id="redistributed-degree",
             ),
         ],
     )
     def test_rejected_in_result_documents(self, number, where, message):
         text = _with_raw_number(_saved_minimal_payload(), ("documents", 0, *where), number)
-        with pytest.raises(ModelFormatError, match=f"result document 0.*{message}"):
+        expected = f"result document 0: {message} must be a finite double, got {json.loads(number)!r}"
+        with pytest.raises(ModelFormatError, match=f"^{re.escape(expected)}$"):
             load_results(text)
 
     def test_integer_literals_beyond_the_conversion_limit(self):
